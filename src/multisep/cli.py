@@ -55,7 +55,15 @@ def _write_lines(lines, out):
 
 
 def _parse_probe(text):
-    a, b = text.split(",")
+    """Probe pair from 'a,b' with one decimal digit per site, e.g. 000,111."""
+    if text is None:
+        raise DomainError("this criterion needs --probe, e.g. --probe 000,111")
+    halves = text.split(",")
+    if len(halves) != 2 or not all(h and set(h) <= set("0123456789") for h in halves):
+        raise DomainError(
+            f"--probe {text!r} must be two digit strings separated by a comma, e.g. 000,111"
+        )
+    a, b = halves
     return criteria.ProbePair(tuple(int(c) for c in a), tuple(int(c) for c in b))
 
 

@@ -11,8 +11,26 @@ above).
 
 All evaluators accept dense DensityMatrix inputs or closed-form element
 providers interchangeably (except the PPT check, which needs the full
-spectrum and therefore a dense matrix).  Partition sums are folded in a
-fixed deterministic order.
+spectrum and therefore a dense matrix).
+
+The matrix-element criteria (bipartite, gme, ksep, q0, qm, dicke) are
+one sum: off-diagonal moduli |rho_ab| minus, over partitions of the
+sites, products of cross diagonals (D+ D-)^(1/2k), where D+ and D- are
+the diagonals at a with b's labels on a block and at b with a's.  One
+numpy kernel evaluates it over the provider batch API
+(ElementProvider.elements / .diagonal on arrays of flat indices, in
+shape.index_dtype so huge shapes stay exact).  Moving a set of sites
+from b's labels to a's shifts the flat index by a subset sum of
+per-site steps, so a partition is a row of numbers rather than a
+Python object:
+
+* bipartitions, and the subsets of the Dicke/qm cross terms, are
+  bitmasks whose subset sums are tabulated by doubling;
+* k-partitions with k > 2 are restricted-growth-string rows
+  (partitions.k_partition_rows), whose block sums are scattered per site.
+
+Work proceeds in chunks of at most _CHUNK entries, so memory stays
+bounded; sums are folded in a fixed order, so results are deterministic.
 
 Probe states are computational-basis product multi-indices; the basis
 freedom of the underlying inequalities is realised by conjugating the
@@ -24,17 +42,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import sqrt
 
 import numpy as np
 
 from .errors import DomainError
-from .partitions import DEFAULT_ENUMERATION_CAP, iter_bipartitions, iter_k_partitions
+# iter_bipartitions / iter_k_partitions are not called here; they stay
+# importable from this module because perfbench/tracer.py wraps them on it.
+from .partitions import (  # noqa: F401
+    DEFAULT_ENUMERATION_CAP,
+    iter_bipartitions,
+    iter_k_partitions,
+    k_partition_rows,
+    partition_count,
+)
 from .states import FlippedProvider, as_provider, ghz_state, w_state
 from .tensor import DensityMatrix, hermitian_spectrum, partial_transpose
 
 DEFAULT_TOL = 1e-10
+
+# Largest number of entries in one batch of the partition-sum kernel.
+# Batches this small keep the kernel's temporaries near 1 MiB at no
+# measurable cost in speed.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -112,9 +143,145 @@ def _diag(el, mi):
     return max(el(mi, mi).real, 0.0)
 
 
-def _mix(on_block, a, b, n):
-    """Multi-index taking a's labels on the block and b's elsewhere."""
-    return tuple(a[i] if i in on_block else b[i] for i in range(n))
+# ---------------------------------------------------------------------------
+# Partition-sum kernel
+# ---------------------------------------------------------------------------
+
+
+def _subset_sums(steps):
+    """Sum of every subset of each row of steps: column c holds the
+    subset whose bit j is set iff entry j is in it."""
+    sums = np.zeros((steps.shape[0], 1), dtype=steps.dtype)
+    for j in range(steps.shape[1]):
+        sums = np.concatenate([sums, sums + steps[:, j, None]], axis=1)
+    return sums
+
+
+def _subset_root_sum(prov, lo, hi, steps, proper):
+    """Per row r, the sum over non-empty subsets S of the row's sites
+    (proper subsets only if `proper`) of sqrt(D(lo[r] + s) D(hi[r] - s)),
+    where s is the sum of steps[r, S] and D = prov.diagonal.
+
+    Subset sums are tabulated over the first log2(_CHUNK) sites and
+    combined with one subset of the remaining sites at a time, in row
+    chunks, so that no batch exceeds _CHUNK entries.
+    """
+    rows, m = steps.shape
+    n_low = min(m, _CHUNK.bit_length() - 1)
+    n_high = 1 << (m - n_low)
+    step = max(1, _CHUNK >> n_low)
+    out = np.zeros(rows)
+    for r in range(0, rows, step):
+        block = slice(r, r + step)
+        low = _subset_sums(steps[block, :n_low])
+        high = _subset_sums(steps[block, n_low:])
+        for h in range(n_high):
+            # the empty subset is column 0 of h = 0, the full one the last of the last h
+            s = low[:, int(h == 0):low.shape[1] - int(proper and h == n_high - 1)]
+            s = s + high[:, h, None]
+            diag = prov.diagonal(np.stack([lo[block, None] + s, hi[block, None] - s]))
+            out[block] += np.sqrt(diag[0] * diag[1]).sum(axis=1)
+    return out
+
+
+def _block_root_sum(prov, lo, hi, steps, k, cap):
+    """Sum over k-partitions P of the sites of
+    prod_{g in P} (D(lo + s_g) D(hi - s_g))^(1/2k), s_g = sum of steps[g]."""
+    n = len(steps)
+    total = 0.0
+    for rgs in k_partition_rows(n, k, cap=cap, rows=max(1, _CHUNK // k)):
+        rows = np.arange(len(rgs))
+        sums = np.zeros((len(rgs), k), dtype=steps.dtype)
+        for i in range(n):
+            sums[rows, rgs[:, i]] += steps[i]
+        diag = prov.diagonal(np.stack([lo + sums, hi - sums]))
+        terms = (diag[0] * diag[1]).prod(axis=1)
+        total += float(np.sum(terms ** (1.0 / (2 * k))))
+    return total
+
+
+def _probe_terms(prov, a, b, k, cap):
+    """(|rho_ab|, partition sum) for each row of the label arrays a, b.
+
+    The partition sum runs over the k-partitions of the sites of
+    prod_g (D(a_g b_rest) D(b_g a_rest))^(1/2k).  Site i's step
+    (a_i - b_i) w_i moves it from b's label to a's, so a_g b_rest sits
+    at flat(b) + s_g and b_g a_rest at flat(a) - s_g.
+    """
+    n = prov.shape.n
+    w = prov.shape.place_values()
+    a = np.asarray(a, dtype=w.dtype).reshape(-1, n)
+    b = np.asarray(b, dtype=w.dtype).reshape(-1, n)
+    flat_a, flat_b = (a * w).sum(axis=1), (b * w).sum(axis=1)
+    off = np.abs(prov.elements(flat_a, flat_b))
+    steps = (a - b) * w
+    if k == 2:
+        partition_count(n, 2, cap)
+        # The bipartition {g, rest} with site 0 in rest is the non-empty
+        # subset g of sites 1..n-1; g and rest contribute the same factor,
+        # so the term is sqrt(D+ D-).
+        return off, _subset_root_sum(prov, flat_b, flat_a, steps[:, 1:], proper=False)
+    sums = [_block_root_sum(prov, lo, hi, st, k, cap)
+            for lo, hi, st in zip(flat_b, flat_a, steps)]
+    return off, np.array(sums)
+
+
+def _dicke_total(prov, m, f):
+    """The qm sum before its division by mu = min(m, n-m).
+
+    Over ordered pairs (alpha, beta) of mu-subsets with beta = alpha - x
+    + y, and levels k < f-1 (|j+1> on the subset, |j> elsewhere, written
+    l_k(S)):
+      |rho(l_k(alpha), l_k(beta))| - sqrt(D(l_k(alpha&beta)) D(l_k(alpha|beta))),
+    plus for levels l < k twice the cross term |rho(A, B)|, A = l_k(alpha),
+    B = l_l(beta), minus the sum of sqrt(D(A with B on S) D(B with A on S))
+    over the non-empty proper subsets S of the sites other than y; minus
+    mu (n-mu-1)(f-1) times the summed diagonals D(l_k(alpha)).  m > n/2
+    is evaluated on the flipped state |j> -> |d-1-j> at mu = n - m.
+    """
+    n = prov.shape.n
+    mu = min(m, n - m)
+    omega = FlippedProvider(prov) if 2 * m > n else prov
+    w = prov.shape.place_values()
+    level = w.sum()         # flat-index shift raising every label by one
+    total = diag_sum = 0.0
+    per_chunk = max(1, _CHUNK // (mu * (n - mu)))
+    subsets = combinations(range(n), mu)
+    while True:
+        alpha = np.array(list(islice(subsets, per_chunk)), dtype=np.intp).reshape(-1, mu)
+        if not len(alpha):
+            break
+        members = np.zeros((len(alpha), n), dtype=bool)
+        members[np.arange(len(alpha))[:, None], alpha] = True
+        rest = np.nonzero(~members)[1].reshape(len(alpha), n - mu)
+        e_alpha = w[alpha].sum(axis=1)     # flat index of 1 on alpha, 0 elsewhere
+        ea, x, y = (v.ravel() for v in np.broadcast_arrays(
+            e_alpha[:, None, None], alpha[:, :, None], rest[:, None, :]))
+        wx, wy = w[x], w[y]
+        pairs = np.arange(len(x))
+        not_y = np.ones((len(x), n), dtype=bool)
+        not_y[pairs, y] = False
+        for k in range(f - 1):
+            flat_a = k * level + ea
+            total += np.abs(omega.elements(flat_a, flat_a - wx + wy)).sum()
+            total -= np.sqrt(omega.diagonal(flat_a - wx) * omega.diagonal(flat_a + wy)).sum()
+            diag_sum += omega.diagonal(k * level + e_alpha).sum()
+            for l in range(k):
+                flat_b = l * level + ea - wx + wy
+                steps = np.broadcast_to((l - k) * w, (len(x), n)).copy()
+                steps[pairs, x] -= wx
+                cross = np.abs(omega.elements(flat_a, flat_b)) - _subset_root_sum(
+                    omega, flat_a, flat_b, steps[not_y].reshape(len(x), n - 1), proper=True)
+                total += 2.0 * cross.sum()
+    return total - mu * (n - mu - 1) * (f - 1) * diag_sum
+
+
+def _detected_f(value, d, tol):
+    detected = None
+    for ff in range(2, d + 1):
+        if value > (ff - 2) + tol:
+            detected = ff
+    return detected
 
 
 def _coerce_probe(probe):
@@ -136,21 +303,29 @@ def ppt_check(rho, block, tol=DEFAULT_TOL):
     return _report("ppt", -spectrum[0], params={"block": sorted(int(b) for b in block)}, tol=tol)
 
 
+def _probe_value(state, k, probe, cap):
+    """Checked (probe, |rho_ab|, k-partition sum) of a single-probe criterion."""
+    prov = as_provider(state)
+    n = prov.shape.n
+    if not 2 <= k <= n:
+        raise DomainError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
+    probe = _coerce_probe(probe).validate(prov.shape)
+    off, s = _probe_terms(prov, probe.a, probe.b, k, cap)
+    return probe, float(off[0]), float(s[0])
+
+
 def bipartite_value(state, probe, tol=DEFAULT_TOL):
     """Elementary bipartite criterion: |rho_ab| vs the cross diagonals.
 
     value = |<a|rho|b>| - sqrt(<a1 b2|rho|a1 b2> <b1 a2|rho|b1 a2>);
-    non-positive for every separable bipartite state.
+    non-positive for every separable bipartite state.  This is the gme
+    criterion at n = 2.
     """
     prov = as_provider(state)
     if prov.shape.n != 2:
         raise DomainError(f"bipartite criterion needs n=2, got n={prov.shape.n}")
-    probe = _coerce_probe(probe).validate(prov.shape)
-    a, b = probe.a, probe.b
-    el = prov.element
-    off = abs(el(a, b))
-    cross = sqrt(_diag(el, (a[0], b[1])) * _diag(el, (b[0], a[1])))
-    return _report("bipartite", off - cross, probe=probe, tol=tol)
+    probe, off, s = _probe_value(prov, 2, probe, DEFAULT_ENUMERATION_CAP)
+    return _report("bipartite", off - s, probe=probe, tol=tol)
 
 
 def gme_value(state, probe, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
@@ -159,19 +334,10 @@ def gme_value(state, probe, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
     value = |<a|rho|b>| - sum over bipartitions gamma of
     sqrt(<a_g b_rest| . |a_g b_rest> <b_g a_rest| . |b_g a_rest>);
     non-positive for every biseparable state, so a positive value
-    certifies genuine multipartite entanglement.  For n = 2 this reduces
-    to the bipartite criterion.
+    certifies genuine multipartite entanglement.  This is ksep_value at
+    k = 2; for n = 2 it reduces to the bipartite criterion.
     """
-    prov = as_provider(state)
-    n = prov.shape.n
-    probe = _coerce_probe(probe).validate(prov.shape)
-    a, b = probe.a, probe.b
-    el = prov.element
-    off = abs(el(a, b))
-    s = 0.0
-    for part in iter_bipartitions(n, cap=cap):
-        g = set(part.blocks[0])
-        s += sqrt(_diag(el, _mix(g, a, b, n)) * _diag(el, _mix(g, b, a, n)))
+    probe, off, s = _probe_value(state, 2, probe, cap)
     return _report("gme", off - s, probe=probe, tol=tol)
 
 
@@ -181,31 +347,17 @@ def ksep_value(state, k, probe, doubled_first_term=False, tol=DEFAULT_TOL,
 
     value = |<a|rho|b>| - sum over k-partitions of
     prod_i (<a_gi b_rest| . > <b_gi a_rest| . >)^(1/2k); non-positive for
-    every k-separable state.  k = 2 coincides with gme_value.
+    every k-separable state.  k = 2 coincides with gme_value.  Raises
+    ResourceError if S(n,k) exceeds cap, before any work.
 
     doubled_first_term switches to an alternative normalisation with
     2|rho_ab| as the first term, exposed for comparison only; the
     default single-element form is the one that reproduces the known
     ghz-isotropic family thresholds (3/35, 1/65).
     """
-    prov = as_provider(state)
-    n = prov.shape.n
-    if not 2 <= k <= n:
-        raise DomainError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    probe = _coerce_probe(probe).validate(prov.shape)
-    a, b = probe.a, probe.b
-    el = prov.element
-    off = abs(el(a, b))
+    probe, off, s = _probe_value(state, k, probe, cap)
     if doubled_first_term:
         off *= 2.0
-    s = 0.0
-    root = 1.0 / (2.0 * k)
-    for part in iter_k_partitions(n, k, cap=cap):
-        prod_term = 1.0
-        for block in part.blocks:
-            g = set(block)
-            prod_term *= _diag(el, _mix(g, a, b, n)) * _diag(el, _mix(g, b, a, n))
-        s += prod_term ** root
     return _report(
         "ksep", off - s,
         params={"k": int(k), "doubled_first_term": bool(doubled_first_term)},
@@ -218,17 +370,6 @@ def _ones_at(members, n):
     return tuple(1 if i in members else 0 for i in range(n))
 
 
-def _dicke_pairs(n, mu):
-    """Ordered pairs of size-mu subsets differing in exactly one element."""
-    for alpha in combinations(range(n), mu):
-        alpha_set = set(alpha)
-        rest = [y for y in range(n) if y not in alpha_set]
-        for x in alpha:
-            kept = alpha_set - {x}
-            for y in rest:
-                yield alpha_set, kept | {y}
-
-
 def dicke_gme_value(state, m, tol=DEFAULT_TOL):
     """Dicke-tailored genuine-multipartite-entanglement criterion (qubits).
 
@@ -237,7 +378,8 @@ def dicke_gme_value(state, m, tol=DEFAULT_TOL):
     element, minus m(n-m-1) times the summed diagonals.  Non-positive for
     biseparable states; the pure m-excitation Dicke state attains the
     maximal value m (for m <= n/2).  m > n/2 is handled by the global
-    flip |j> -> |1-j>.
+    flip |j> -> |1-j>.  The value equals mu * qm_value(state, m, f=2)
+    with mu = min(m, n-m).
     """
     prov = as_provider(state)
     n = prov.shape.n
@@ -245,22 +387,7 @@ def dicke_gme_value(state, m, tol=DEFAULT_TOL):
         raise DomainError("the Dicke criterion is defined for qubit systems")
     if not 1 <= m <= n - 1:
         raise DomainError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    if 2 * m > n:
-        omega, mu = FlippedProvider(prov), n - m
-    else:
-        omega, mu = prov, m
-    el = omega.element
-
-    value = 0.0
-    for alpha, beta in _dicke_pairs(n, mu):
-        ea, eb = _ones_at(alpha, n), _ones_at(beta, n)
-        value += abs(el(ea, eb))
-        value -= sqrt(
-            _diag(el, _ones_at(alpha & beta, n)) * _diag(el, _ones_at(alpha | beta, n))
-        )
-    diag_sum = sum(_diag(el, _ones_at(alpha, n)) for alpha in combinations(range(n), mu))
-    value -= mu * (n - mu - 1) * diag_sum
-    return _report("dicke_gme", value, params={"m": int(m)}, tol=tol)
+    return _report("dicke_gme", _dicke_total(prov, m, 2), params={"m": int(m)}, tol=tol)
 
 
 def q0_value(state, f=2, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
@@ -268,49 +395,38 @@ def q0_value(state, f=2, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
 
     Q0 sums, over every ordered pair of distinct levels (k, l) of the
     full local dimension, |rho_{l^n, k^n}| minus the bipartition
-    diagonals.  Q0 is bounded by f-1 for at most genuinely f-dimensional
-    states; Q0 > f-2 detects genuinely f-dimensional genuine multipartite
-    entanglement, so the report's threshold is f-2 and `detected_f`
-    carries the largest detected f.  f = 2 reduces to twice the GHZ-probe
-    gme_value.
+    diagonals, i.e. the gme sums with probes (l^n, k^n).  Q0 is bounded
+    by f-1 for at most genuinely f-dimensional states; Q0 > f-2 detects
+    genuinely f-dimensional genuine multipartite entanglement, so the
+    report's threshold is f-2 and `detected_f` carries the largest
+    detected f.  f = 2 reduces to twice the GHZ-probe gme_value.
     """
     prov = as_provider(state)
     n = prov.shape.n
     d = prov.shape.uniform_dim
     if not 2 <= f <= d:
         raise DomainError(f"f must satisfy 2 <= f <= d, got f={f}, d={d}")
-    el = prov.element
-    parts = [set(p.blocks[0]) for p in iter_bipartitions(n, cap=cap)]
-
     q0 = 0.0
-    for k, l in product(range(d), repeat=2):
-        if k == l:
-            continue
-        lvec, kvec = (l,) * n, (k,) * n
-        q0 += abs(el(lvec, kvec))
-        for g in parts:
-            q0 -= sqrt(
-                _diag(el, _mix(g, lvec, kvec, n)) * _diag(el, _mix(g, kvec, lvec, n))
-            )
-
-    detected_f = None
-    for ff in range(2, d + 1):
-        if q0 > (ff - 2) + tol:
-            detected_f = ff
+    for l in range(d):
+        others = np.array([k for k in range(d) if k != l])
+        off, s = _probe_terms(prov, np.full((d - 1, n), l), np.repeat(others[:, None], n, 1),
+                              2, cap)
+        q0 += float((off - s).sum())
     return _report(
-        "q0", q0, params={"d": d, "f": int(f), "detected_f": detected_f},
+        "q0", q0, params={"d": d, "f": int(f), "detected_f": _detected_f(q0, d, tol)},
         tol=(f - 2) + tol,
     )
 
 
 def qm_value(state, m, f=2, tol=DEFAULT_TOL):
-    """Dicke-type criterion for genuinely f-dimensional GME, normalised by m.
+    """Dicke-type criterion for genuinely f-dimensional GME.
 
     Port of the reference evaluation: excitation levels run to f-2, the
     cross-level part subtracts diagonal pairs indexed by subsets of
     (complement(beta) ∪ alpha) of sizes 1..n-2, and the diagonal penalty
-    carries the factor mu(n - mu - 1)(f - 1); the total is divided by mu.
-    For qubits (f = d = 2) this is the Dicke criterion divided by m.
+    carries the factor mu(n - mu - 1)(f - 1); the total is divided by
+    mu = min(m, n-m).  For qubits (f = d = 2) this is the Dicke criterion
+    divided by mu.
     """
     prov = as_provider(state)
     n = prov.shape.n
@@ -319,63 +435,10 @@ def qm_value(state, m, f=2, tol=DEFAULT_TOL):
         raise DomainError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
     if not 2 <= f <= d:
         raise DomainError(f"f must satisfy 2 <= f <= d, got f={f}, d={d}")
-    if 2 * m > n:
-        omega, mu = FlippedProvider(prov), n - m
-    else:
-        omega, mu = prov, m
-    el = omega.element
-
-    def level_vec(members, level):
-        members = set(members)
-        return tuple(level + 1 if i in members else level for i in range(n))
-
-    total = 0.0
-    for alpha, beta in _dicke_pairs(n, mu):
-        for k in range(f - 1):
-            ea, eb = level_vec(alpha, k), level_vec(beta, k)
-            total += abs(el(ea, eb))
-            inter = tuple(
-                k + 1 if (i in alpha and i in beta) else k for i in range(n)
-            )
-            union = tuple(
-                k + 1 if (i in alpha or i in beta) else k for i in range(n)
-            )
-            total -= sqrt(_diag(el, inter) * _diag(el, union))
-        delta_base = sorted((set(range(n)) - beta) | alpha)
-        deltas = [
-            set(c) for size in range(1, n - 1) for c in combinations(delta_base, size)
-        ]
-        for k in range(f - 1):
-            for l in range(k):
-                cross = abs(el(level_vec(alpha, k), level_vec(beta, l)))
-                for dl in deltas:
-                    v1 = tuple(
-                        (l + 1 if j in beta else l) if j in dl
-                        else (k + 1 if j in alpha else k)
-                        for j in range(n)
-                    )
-                    v2 = tuple(
-                        (k + 1 if j in alpha else k) if j in dl
-                        else (l + 1 if j in beta else l)
-                        for j in range(n)
-                    )
-                    cross -= sqrt(_diag(el, v1) * _diag(el, v2))
-                total += 2.0 * cross
-
-    diag_sum = sum(
-        _diag(el, level_vec(alpha, k))
-        for alpha in combinations(range(n), mu)
-        for k in range(f - 1)
-    )
-    total -= mu * (n - mu - 1) * (f - 1) * diag_sum
-    value = total / mu
-
-    detected_f = None
-    for ff in range(2, d + 1):
-        if value > (ff - 2) + tol:
-            detected_f = ff
+    value = _dicke_total(prov, m, f) / min(m, n - m)
     return _report(
-        "qm", value, params={"m": int(m), "d": d, "f": int(f), "detected_f": detected_f},
+        "qm", value,
+        params={"m": int(m), "d": d, "f": int(f), "detected_f": _detected_f(value, d, tol)},
         tol=(f - 2) + tol,
     )
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from .errors import DomainError, ResourceError
 
 # Enumeration refuses to run past this many partitions unless overridden.
@@ -115,6 +117,46 @@ def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):
             yield from grow(pos + 1, new_used)
 
     yield from grow(0, 0)
+
+
+def partition_count(n, k, cap=DEFAULT_ENUMERATION_CAP):
+    """S(n,k), or ResourceError (carrying the count) if it exceeds the cap."""
+    count = 2 ** (n - 1) - 1 if k == 2 else stirling2(n, k)
+    if cap is not None and count > cap:
+        raise ResourceError(
+            f"enumeration of {count} {k}-partitions of {n} labels exceeds the cap {cap}"
+        )
+    return count
+
+
+def k_partition_rows(n, k, cap=DEFAULT_ENUMERATION_CAP, rows=1 << 14):
+    """Every canonical k-partition of {0, ..., n-1} as restricted-growth rows.
+
+    Yields integer arrays of shape (m, n), m <= rows, whose row r puts
+    label i into block row[r, i]; over all chunks the rows follow the
+    order of iter_k_partitions.  Prefixes grow one label at a time, depth
+    first, and every batch that exceeds `rows` is split, so memory stays
+    bounded for any count.  The cap is checked before anything is built.
+    """
+    n, k = _check_nk(n, k)
+    partition_count(n, k, cap)
+    labels = np.arange(k, dtype=np.int8 if k < 128 else np.int64)
+    stack = [(np.zeros((1, 1), dtype=labels.dtype), np.ones(1, dtype=np.int64))]
+    while stack:
+        prefix, used = stack.pop()
+        pos = prefix.shape[1]
+        if pos == n:
+            yield prefix
+            continue
+        opened = np.maximum(used[:, None], labels + 1)
+        # a label joins an open block or opens the next one, and the
+        # remaining labels must still be able to open all k blocks
+        ok = (labels <= used[:, None]) & (opened + (n - pos - 1) >= k)
+        r, b = np.nonzero(ok)
+        prefix = np.concatenate([prefix[r], labels[b, None]], axis=1)
+        used = opened[r, b]
+        for start in reversed(range(0, len(prefix), rows)):
+            stack.append((prefix[start:start + rows], used[start:start + rows]))
 
 
 def unique_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):

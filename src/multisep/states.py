@@ -21,7 +21,14 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import DomainError
-from .tensor import DensityMatrix, StateVector, SystemShape, qudits, vec_to_dm
+from .tensor import (
+    DensityMatrix,
+    StateVector,
+    SystemShape,
+    _check_dense_dim,
+    qudits,
+    vec_to_dm,
+)
 
 _BELL_AMPLITUDES = {
     "phi+": {(0, 0): 1 / sqrt(2), (1, 1): 1 / sqrt(2)},
@@ -34,9 +41,13 @@ _BELL_AMPLITUDES = {
 class ElementProvider:
     """Closed-form access to density-matrix elements.
 
-    Subclasses implement element(bra, ket) and carry a SystemShape; the
-    accessor must be Hermitian-symmetric.  Providers are immutable and
-    shareable.
+    Subclasses implement element(bra, ket) on multi-indices and carry a
+    SystemShape; the accessor must be Hermitian-symmetric.  The batch
+    methods elements(bra_flat, ket_flat) and diagonal(flat) answer
+    elementwise over arrays of flat indices (any array shape, dtype
+    shape.index_dtype); the defaults here fall back to element() one
+    query at a time, and the built-in providers answer with array
+    lookups.  Providers are immutable and shareable.
     """
 
     shape: SystemShape
@@ -44,14 +55,29 @@ class ElementProvider:
     def element(self, bra, ket):
         raise NotImplementedError
 
+    def elements(self, bra_flat, ket_flat):
+        """<bra|rho|ket> for arrays of flat indices, as a complex array."""
+        dtype = self.shape.index_dtype
+        bra_flat, ket_flat = np.broadcast_arrays(
+            np.asarray(bra_flat, dtype=dtype), np.asarray(ket_flat, dtype=dtype))
+        decode = self.shape.decode
+        out = np.empty(bra_flat.shape, dtype=complex)
+        for pos in np.ndindex(out.shape):
+            out[pos] = self.element(decode(bra_flat[pos]), decode(ket_flat[pos]))
+        return out
+
+    def diagonal(self, flat):
+        """Real diagonal elements <x|rho|x>, clipped at 0 against tiny negative noise."""
+        return np.maximum(self.elements(flat, flat).real, 0.0)
+
     def to_dense(self, max_dim=None, validate=True):
-        total = self.shape.total
-        mat = np.empty((total, total), dtype=complex)
-        idx = [self.shape.decode(i) for i in range(total)]
-        for i, bra in enumerate(idx):
-            for j, ket in enumerate(idx):
-                mat[i, j] = self.element(bra, ket)
-        return DensityMatrix(self.shape, mat, validate=validate, max_dim=max_dim)
+        _check_dense_dim(self.shape.total, max_dim)
+        return DensityMatrix(self.shape, self._dense_matrix(), validate=validate,
+                             max_dim=max_dim)
+
+    def _dense_matrix(self):
+        idx = np.arange(self.shape.total)
+        return self.elements(idx[:, None], idx[None, :])
 
 
 class DenseProvider(ElementProvider):
@@ -60,9 +86,16 @@ class DenseProvider(ElementProvider):
     def __init__(self, rho):
         self.shape = rho.shape
         self._rho = rho
+        self._diag = np.maximum(rho.mat.diagonal().real, 0.0)
 
     def element(self, bra, ket):
         return self._rho.element(bra, ket)
+
+    def elements(self, bra_flat, ket_flat):
+        return self._rho.mat[bra_flat, ket_flat]
+
+    def diagonal(self, flat):
+        return self._diag[flat]
 
     def to_dense(self, max_dim=None, validate=True):
         return self._rho
@@ -72,7 +105,10 @@ class MixtureProvider(ElementProvider):
     """sum_t w_t |psi_t><psi_t| + w_noise * I/total with sparse psi_t.
 
     Each pure term is an amplitude map {multi-index: amplitude}; any pure
-    state given this way gets a provider for free.
+    state given this way gets a provider for free.  The constructor also
+    lays the terms out as tables over the sorted flat indices of their
+    joint support plus one trailing zero column for every index off the
+    support; batch queries find their columns by searchsorted.
     """
 
     def __init__(self, shape, terms, noise_weight=0.0):
@@ -92,6 +128,21 @@ class MixtureProvider(ElementProvider):
         if abs(total_w - 1.0) > 1e-9:
             raise DomainError(f"mixture weights sum to {total_w}, expected 1")
 
+        live = [(w, amps) for w, amps in self.terms if w != 0.0]
+        place = [int(x) for x in shape.place_values()]
+        flat = {mi: sum(x * p for x, p in zip(mi, place)) for _, amps in live for mi in amps}
+        support = sorted(set(flat.values()))
+        column = {x: i for i, x in enumerate(support)}
+        # The sentinel `total` is no flat index, so every miss lands on it.
+        self._keys = np.array(support + [shape.total], dtype=shape.index_dtype)
+        self._amps = np.zeros((len(live), len(self._keys)), dtype=complex)
+        for t, (_, amps) in enumerate(live):
+            for mi, a in amps.items():
+                self._amps[t, column[flat[mi]]] = a
+        weights = np.array([w for w, _ in live]).reshape(-1, 1)
+        self._weighted = weights * self._amps
+        self._support_diag = (self._weighted * self._amps.conj()).real.sum(axis=0)
+
     def element(self, bra, ket):
         bra = self.shape.validate_index(bra)
         ket = self.shape.validate_index(ket)
@@ -107,9 +158,42 @@ class MixtureProvider(ElementProvider):
             val += self.noise_weight / self.shape.total
         return val
 
+    def _columns(self, flat):
+        """Table column of each flat index; indices off the support get the zero column."""
+        col = np.asarray(self._keys.searchsorted(flat))
+        col[self._keys[col] != flat] = len(self._keys) - 1
+        return col
+
+    def elements(self, bra_flat, ket_flat):
+        dtype = self.shape.index_dtype
+        bra_flat = np.asarray(bra_flat, dtype=dtype)
+        ket_flat = np.asarray(ket_flat, dtype=dtype)
+        val = (self._weighted[:, self._columns(bra_flat)]
+               * self._amps[:, self._columns(ket_flat)].conj()).sum(axis=0)
+        return val + np.where(bra_flat == ket_flat, self.noise_weight / self.shape.total, 0.0)
+
+    def diagonal(self, flat):
+        flat = np.asarray(flat, dtype=self.shape.index_dtype)
+        val = self._support_diag[self._columns(flat)] + self.noise_weight / self.shape.total
+        return np.maximum(val, 0.0)
+
+    def _dense_matrix(self):
+        total = self.shape.total
+        keys = self._keys[:-1]
+        block = np.zeros((len(keys), len(keys)), dtype=complex)
+        for weighted, amps in zip(self._weighted[:, :-1], self._amps[:, :-1]):
+            block += np.outer(weighted, amps.conj())
+        mat = np.zeros((total, total), dtype=complex)
+        mat[np.ix_(keys, keys)] = block
+        mat[np.diag_indices(total)] += self.noise_weight / total
+        return mat
+
 
 class FlippedProvider(ElementProvider):
-    """View of a provider with every label flipped j -> d-1-j."""
+    """View of a provider with every label flipped j -> d-1-j.
+
+    On flat indices the flip is x -> total-1-x.
+    """
 
     def __init__(self, inner):
         self.shape = inner.shape
@@ -121,6 +205,15 @@ class FlippedProvider(ElementProvider):
         return self._inner.element(
             tuple(d - 1 - x for x in bra), tuple(d - 1 - x for x in ket)
         )
+
+    def _flip(self, flat):
+        return (self.shape.total - 1) - np.asarray(flat, dtype=self.shape.index_dtype)
+
+    def elements(self, bra_flat, ket_flat):
+        return self._inner.elements(self._flip(bra_flat), self._flip(ket_flat))
+
+    def diagonal(self, flat):
+        return self._inner.diagonal(self._flip(flat))
 
 
 def as_provider(state):

@@ -26,6 +26,8 @@ STATE_TOL = 1e-9
 # Largest total dimension for which dense matrices are built by default.
 DEFAULT_MAX_DENSE_DIM = 2 ** 14
 
+_INT64_MAX = 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class SystemShape:
@@ -55,6 +57,21 @@ class SystemShape:
         if any(di != d for di in self.dims):
             raise DomainError(f"mixed local dimensions {self.dims}")
         return d
+
+    @property
+    def index_dtype(self):
+        """Array dtype of flat indices: int64 while the total dimension fits
+        in it, else object (exact Python ints), so huge shapes never
+        overflow silently."""
+        return np.int64 if self.total <= _INT64_MAX else object
+
+    def place_values(self):
+        """Array w with encode(mi) == sum_i mi[i] * w[i], dtype index_dtype."""
+        w, acc = [], 1
+        for d in reversed(self.dims):
+            w.append(acc)
+            acc *= d
+        return np.array(w[::-1], dtype=self.index_dtype)
 
     def validate_index(self, mi):
         mi = tuple(int(x) for x in mi)
@@ -227,9 +244,10 @@ def partial_trace(rho, systems):
     rejected here.
     """
     n = rho.shape.n
-    systems = sorted(set(int(s) for s in systems))
+    systems = [int(s) for s in systems]
     if len(systems) != len(set(systems)):
         raise DomainError("subsystem labels must be distinct")
+    systems = sorted(systems)
     if any(not 0 <= s < n for s in systems):
         raise DomainError(f"subsystem labels {systems} out of range for n={n}")
     if len(systems) == n:

@@ -133,6 +133,23 @@ class TestExitCodes:
     def test_missing_state_is_usage_error(self):
         assert main(["crit", "--crit", "gme", "--probe", "000,111"]) == 2
 
+    @pytest.mark.parametrize("probe", [None, "000", "000,", "0a0,111", "0,1,2"])
+    def test_bad_probe_is_usage_error(self, capsys, probe):
+        argv = ["crit", "--crit", "gme", "--family", "ghz-iso", "--n", "3",
+                "--alpha", "0.5"]
+        if probe is not None:
+            argv += ["--probe", probe]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--probe" in err
+
+    def test_dense_cap_checked_before_allocating(self, capsys):
+        # 4^8 = 65536 > 2^14: refused before a 64 GiB matrix is allocated
+        code = main(["crit", "--crit", "ppt", "--family", "ghz-iso", "--n", "8",
+                     "--d", "4", "--alpha", "0.5"])
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
     def test_partition_cap_is_resource_error(self):
         code = main(["crit", "--crit", "ksep", "--k", "3",
                      "--probe", "0" * 22 + "," + "1" * 22,

@@ -11,6 +11,7 @@ from multisep import (
     stirling2,
     unique_k_partitions,
 )
+from multisep.partitions import k_partition_rows
 
 
 def enumerate_partitions_reference(n):
@@ -85,6 +86,28 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceError) as err:
             list(iter_k_partitions(12, 4, cap=1000))
+        assert str(stirling2(12, 4)) in str(err.value)
+
+    @pytest.mark.parametrize("rows", [1, 5, 1 << 14])
+    def test_rows_match_iter_order(self, rows):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                got = [tuple(r) for chunk in k_partition_rows(n, k, rows=rows)
+                       for r in chunk]
+                want = []
+                for part in iter_k_partitions(n, k):
+                    row = [0] * n
+                    for block, labels in enumerate(part.blocks):
+                        for x in labels:
+                            row[x] = block
+                    want.append(tuple(row))
+                assert got == want
+                assert all(len(chunk) <= rows
+                           for chunk in k_partition_rows(n, k, rows=rows))
+
+    def test_rows_cap_checked_first(self):
+        with pytest.raises(ResourceError) as err:
+            next(k_partition_rows(12, 4, cap=1000))
         assert str(stirling2(12, 4)) in str(err.value)
 
     @given(st.integers(min_value=1, max_value=7), st.data())

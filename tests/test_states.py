@@ -181,6 +181,12 @@ class TestProviders:
         assert per_query < 1e-3
         assert prov.element(bra, ket) == pytest.approx(0.5 / 20)
 
+    def test_to_dense_cap_checked_before_allocating(self):
+        # 4^8 = 65536 exceeds the default dense cap; nothing is allocated
+        prov = family_state("ghz-iso", n=8, d=4, alpha=0.5, representation="provider")
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            prov.to_dense()
+
     def test_mixture_weights_validated(self):
         with pytest.raises(DomainError):
             MixtureProvider(qubits(2), [(0.5, ghz_amplitudes(2))], noise_weight=0.2)

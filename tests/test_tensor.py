@@ -143,6 +143,11 @@ class TestPartialTrace:
         with pytest.raises(DomainError):
             partial_trace(rho, [0, 1])
 
+    def test_duplicate_labels_rejected(self):
+        rho = vec_to_dm(ghz_state(3))
+        with pytest.raises(DomainError, match="distinct"):
+            partial_trace(rho, [0, 0])
+
 
 class TestPartialTranspose:
     def test_involution(self, rng):
