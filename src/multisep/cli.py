@@ -76,6 +76,7 @@ def _load_state(args, need_dense=False):
         return family_state(
             args.family, n=args.n, d=args.d, m=args.m,
             alpha=args.alpha, beta=args.beta, p=args.p, representation=rep,
+            max_dim=args.max_dim,
         )
     raise DomainError("provide a state via --in FILE or --family NAME")
 
@@ -95,7 +96,7 @@ def _family_builder(args):
             raise DomainError(f"cannot sweep {var!r}")
         kwargs[var] = value
         rep = "dense" if need_dense else "provider"
-        return family_state(family, representation=rep, **kwargs)
+        return family_state(family, representation=rep, max_dim=args.max_dim, **kwargs)
 
     return build, var
 
@@ -138,7 +139,7 @@ def cmd_state(args):
     if args.family:
         rho = family_state(
             args.family, n=args.n, d=args.d, m=args.m,
-            alpha=args.alpha, beta=args.beta, p=args.p,
+            alpha=args.alpha, beta=args.beta, p=args.p, max_dim=args.max_dim,
         )
     else:
         spec = StateSpec(
@@ -251,13 +252,17 @@ def cmd_manybody(args):
     header = ["h", "gamma", "kT", "E0"] + [f"E_{k}sep" for k in ks] + [
         "detected_k", "cgme_ground"]
     lines = [",".join(header)]
-    nonconverged = False
+    warnings = []
     for h in h_values:
         params = manybody.HeisenbergParams.from_gamma(args.gamma, h=h)
         h_mat = manybody.heisenberg_hamiltonian(lattice, params)
         report = manybody.entanglement_gaps(
             h_mat, ks=ks, restarts=args.restarts, seed=args.seed)
-        nonconverged = nonconverged or not all(report.converged.values())
+        for k, parts in report.nonconverged.items():
+            if parts:
+                warnings.append(
+                    f"warning: product-state minimisation for k={k} at h={_fmt(float(h))} "
+                    f"did not converge in partitions {' '.join(map(str, parts))}")
         if args.kT is not None:
             rho = manybody.thermal_state(h_mat, args.kT)
             report.kT = args.kT
@@ -276,11 +281,9 @@ def cmd_manybody(args):
         row += [detected, cgme]
         lines.append(",".join(_fmt(float(x) if not isinstance(x, int) else x) for x in row))
     _write_lines(lines, args.out)
-    if nonconverged:
-        print("warning: at least one product-state minimisation did not converge",
-              file=sys.stderr)
-        return 4
-    return 0
+    for warning in warnings:
+        print(warning, file=sys.stderr)
+    return 4 if warnings else 0
 
 
 def cmd_qss(args):

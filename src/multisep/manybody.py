@@ -7,9 +7,10 @@ bound is certified k-inseparable (the k = 2 interval is the GME gap).
 E_ksep is computed by constrained minimisation over product states of
 each canonical k-partition: alternating exact block ground-state
 updates, which decrease the energy monotonically, restarted from seeded
-random product states.  The result is therefore an upper bound on the
-true constrained minimum; detection keeps a slack margin in the
-conservative direction.
+random product states.  Partitions with the same ordered block sizes
+are swept together as one batch.  The result is therefore an upper
+bound on the true constrained minimum; detection keeps a slack margin
+in the conservative direction.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import numpy as np
 
 from .errors import DomainError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, SystemShape, hermitian_spectrum, kron_all, qubits
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
+from .tensor import DensityMatrix, hermitian_spectrum, qubits
 
 DEFAULT_OPT_SLACK = 1e-6
+
+# Bytes of permuted Hamiltonian layouts and matmul products one batch of
+# partitions may hold; a partition that alone needs more runs by itself.
+_CHUNK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -81,27 +81,37 @@ class HeisenbergParams:
         return cls(1.0, 1.0 - gamma, 1.0 - 2.0 * gamma, h)
 
 
-def _site_op(op, site, n):
-    factors = [_ID] * n
-    factors[site] = op
-    return kron_all(factors)
+def _site_bits(n):
+    """bits[x, i]: the bit of site i in basis state x, site 0 the most
+    significant as in kron order."""
+    x = np.arange(2 ** n)
+    return (x[:, None] >> (n - 1 - np.arange(n))) & 1
 
 
 def heisenberg_hamiltonian(lattice, params, max_n=14):
     """Dense spin-1/2 Hamiltonian
-    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i."""
+    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i.
+
+    Built bitwise in the computational basis: ZZ and the field sit on
+    the diagonal, and XX + YY flips bits i and j of |x> with amplitude
+    (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1.
+    """
     n = lattice.n
     if n > max_n:
         raise DomainError(f"dense Hamiltonian for n={n} sites exceeds the cap n={max_n}")
     dim = 2 ** n
+    x = np.arange(dim)
+    z = 1.0 - 2.0 * _site_bits(n)
     h_mat = np.zeros((dim, dim), dtype=complex)
+    diag = np.zeros(dim)
     for i, j in lattice.edges:
-        for coupling, op in ((params.jx, _SX), (params.jy, _SY), (params.jz, _SZ)):
-            if coupling != 0.0:
-                h_mat += 0.5 * coupling * (_site_op(op, i, n) @ _site_op(op, j, n))
-    if params.h != 0.0:
-        for i in range(n):
-            h_mat += params.h * _site_op(_SZ, i, n)
+        zz = z[:, i] * z[:, j]
+        diag += 0.5 * params.jz * zz
+        flip = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+        h_mat[x ^ flip, x] = 0.5 * (params.jx - params.jy * zz)
+    for i in range(n):
+        diag += params.h * z[:, i]
+    h_mat[x, x] = diag
     return h_mat
 
 
@@ -146,34 +156,90 @@ def ground_state_dm(h_mat, degeneracy_tol=1e-9):
 
 @dataclass(frozen=True)
 class ProductMinimum:
+    """Least product-state energy found, and the partitions whose sweeps
+    were still lowering the energy when they hit max_iter."""
+
     energy: float
-    converged: bool
+    nonconverged: tuple = ()
+
+    @property
+    def converged(self):
+        return not self.nonconverged
 
 
-def _block_layouts(h_mat, blocks, n):
-    """Per-block permuted views of H: block qubits first, the remaining
-    blocks' qubits grouped after, reshaped to (dA, dR, dA, dR)."""
-    dims = (2,) * n
-    shape = SystemShape(dims)
+def _permuted_layouts(h_mat, orders):
+    """H in the site order orders[p] for each row p, shape (P, dim, dim).
+
+    New basis state x holds site orders[p, pos] in bit pos, so its old
+    index sums 2^(n-1-orders[p, pos]) over the bits set in x.
+    """
+    n = orders.shape[1]
+    idx = (_site_bits(n) @ (1 << (n - 1 - orders)).T).T
+    return h_mat[idx[:, :, None], idx[:, None, :]]
+
+
+def _chunk_len(n, sizes, restarts):
+    """Partitions with these block sizes that fit one batch in _CHUNK_BYTES:
+    k layouts of dim^2 plus the largest (dA*dim, restarts) matmul product."""
+    dim = 2 ** n
+    per_partition = 16 * dim * (len(sizes) * dim + restarts * 2 ** max(sizes))
+    return max(1, _CHUNK_BYTES // per_partition)
+
+
+def _sweep_batch(h_mat, parts, starts, tol, max_iter):
+    """Alternating block ground-state updates for partitions that share
+    their ordered block sizes, all restarts at once.
+
+    starts[j] holds block j's start states, shape (P, restarts, dA_j).
+    Returns each partition's least final energy over its restarts and
+    whether its largest per-sweep decrement fell below tol.  Converged
+    partitions leave the batch, which is compacted.
+    """
+    n = parts[0].n
+    dim = 2 ** n
     layouts = []
-    for j, block in enumerate(blocks):
-        order = list(block)
-        for i, other in enumerate(blocks):
-            if i != j:
-                order.extend(other)
-        # flat index map: new basis index -> old basis index
-        idx = np.empty(2 ** n, dtype=np.intp)
-        for x in range(2 ** n):
-            bits = shape.decode(x)
-            old = [0] * n
-            for pos, q in enumerate(order):
-                old[q] = bits[pos]
-            idx[x] = shape.encode(old)
+    for j, block in enumerate(parts[0].blocks):
+        orders = np.array([
+            part.blocks[j] + tuple(q for i, other in enumerate(part.blocks) if i != j
+                                   for q in other)
+            for part in parts
+        ])
         da = 2 ** len(block)
-        dr = 2 ** (n - len(block))
-        hp = h_mat[np.ix_(idx, idx)].reshape(da, dr, da, dr)
-        layouts.append(hp)
-    return layouts
+        layouts.append(_permuted_layouts(h_mat, orders).reshape(len(parts), da * dim, dim // da))
+    states = list(starts)
+    restarts = states[0].shape[1]
+    live = np.arange(len(parts))
+    energies = np.full((len(parts), restarts), np.inf)
+    final = np.empty_like(energies)
+    converged = np.zeros(len(parts), dtype=bool)
+    for _ in range(max_iter):
+        prev = energies
+        for j, layout in enumerate(layouts):
+            rest = np.ones((live.size, restarts, 1), dtype=complex)
+            for i, state in enumerate(states):
+                if i != j:
+                    rest = (rest[..., :, None] * state[..., None, :]).reshape(
+                        live.size, restarts, -1)
+            da = states[j].shape[2]
+            # heff[p, n, a, b] = sum_rs H[a, r, b, s] conj(rest[p, n, r]) rest[p, n, s]
+            half = (layout @ rest.transpose(0, 2, 1)).reshape(
+                live.size, da, -1, da, restarts)
+            heff = np.einsum("pnr,parbn->pnab", rest.conj(), half)
+            evals, evecs = np.linalg.eigh(heff)
+            states[j] = evecs[..., 0]
+            energies = evals[..., 0]
+        done = np.max(prev - energies, axis=1) < tol
+        if done.any():
+            final[live[done]] = energies[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, energies = live[keep], energies[keep]
+            states = [s[keep] for s in states]
+            layouts = [lay[keep] for lay in layouts]
+            if not live.size:
+                break
+    final[live] = energies
+    return final.min(axis=1), converged
 
 
 def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
@@ -183,72 +249,93 @@ def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     Minimises <psi|H|psi> over product states of every canonical
     k-partition by alternating exact block ground-state updates; each
     update can only lower the energy, so every restart converges in
-    energy.  All restarts of a partition are swept in one batch until the
-    largest per-sweep decrement falls below tol.  k = 1 is the
-    unconstrained ground energy.  Restarts still above the energy change
-    tolerance after max_iter sweeps keep their best value and clear the
-    converged flag.  A known lower bound (the exact ground energy) lets
-    the partition loop exit early once it is reached.
+    energy.  k = 1 is the unconstrained ground energy.
+
+    Partitions with the same ordered block sizes (every (4, 2)
+    bipartition, say) are swept as one batch, all restarts together,
+    in chunks of at most _CHUNK_BYTES of permuted Hamiltonian layouts.
+    Start states are drawn from the seeded generator per partition in
+    enumeration order and per block, so each (partition, restart)
+    starts exactly where a one-partition-at-a-time search would.  A
+    partition leaves its batch once its largest per-sweep decrement over
+    restarts falls below tol; one still above it after max_iter sweeps
+    keeps its best value and is named in `nonconverged`.  A known lower
+    bound (the exact ground energy) ends the search, checked after every
+    batch, once the best energy over the partitions up to some point in
+    enumeration order reaches it; the result then covers exactly those
+    partitions, as a one-partition-at-a-time search would.
     """
     n = _qubit_count(h_mat)
     if not 1 <= k <= n:
         raise DomainError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if k == 1:
-        return ProductMinimum(float(hermitian_spectrum(h_mat)[0]), True)
+        return ProductMinimum(float(hermitian_spectrum(h_mat)[0]))
 
     rng = np.random.default_rng(seed)
-    best = np.inf
-    all_converged = True
     floor = -np.inf if lower_bound is None else lower_bound + tol
+    best = np.inf
+    nonconverged = []
+    settled = {}
+    cursor = 0
 
-    for part in iter_k_partitions(n, k):
-        blocks = part.blocks
-        layouts = _block_layouts(h_mat, blocks, n)
-        states = []
-        for block in blocks:
+    def run(batch):
+        """Sweep one batch, then fold every result that is next in
+        enumeration order into best; True once best reaches the floor."""
+        nonlocal best, cursor
+        parts = [part for _, part, _ in batch]
+        starts = [np.stack(block) for block in zip(*(s for _, _, s in batch))]
+        energies, converged = _sweep_batch(h_mat, parts, starts, tol, max_iter)
+        for (index, part, _), energy, ok in zip(batch, energies, converged):
+            settled[index] = (part, float(energy), ok)
+        while cursor in settled:
+            part, energy, ok = settled.pop(cursor)
+            cursor += 1
+            best = min(best, energy)
+            if not ok:
+                nonconverged.append(part)
+            if best <= floor:
+                return True
+        return False
+
+    pending = {}  # block sizes -> [(index, partition, start states)]
+    for index, part in enumerate(iter_k_partitions(n, k)):
+        starts = []
+        for block in part.blocks:
             dim = 2 ** len(block)
             v = rng.standard_normal((restarts, dim)) + 1j * rng.standard_normal(
                 (restarts, dim)
             )
-            states.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-        energies = np.full(restarts, np.inf)
-        converged = False
-        for _ in range(max_iter):
-            prev = energies
-            for j in range(len(blocks)):
-                rest = np.ones((restarts, 1), dtype=complex)
-                for i in range(len(blocks)):
-                    if i != j:
-                        rest = np.einsum("na,nb->nab", rest, states[i]).reshape(
-                            restarts, -1
-                        )
-                heff = np.einsum(
-                    "arbs,nr,ns->nab", layouts[j], rest.conj(), rest, optimize=True
-                )
-                evals, evecs = np.linalg.eigh(heff)
-                states[j] = evecs[..., 0]
-                energies = evals[..., 0]
-            if np.max(prev - energies) < tol:
-                converged = True
-                break
-        best = min(best, float(energies.min()))
-        all_converged = all_converged and converged
-        if best <= floor:
-            return ProductMinimum(best, all_converged)
-    return ProductMinimum(best, all_converged)
+            starts.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        sizes = tuple(len(b) for b in part.blocks)
+        batch = pending.setdefault(sizes, [])
+        batch.append((index, part, starts))
+        if len(batch) >= _chunk_len(n, sizes, restarts):
+            del pending[sizes]
+            if run(batch):
+                return ProductMinimum(best, tuple(nonconverged))
+    # dict order is the order of each batch's first partition
+    for batch in pending.values():
+        if run(batch):
+            break
+    return ProductMinimum(best, tuple(nonconverged))
 
 
 @dataclass
 class GapReport:
-    """Ground energy, per-k product-state minima and the implied gaps."""
+    """Ground energy, per-k product-state minima and the implied gaps;
+    nonconverged[k] names the partitions whose search hit max_iter."""
 
     hamiltonian: np.ndarray
     e0: float
     energies: dict = field(default_factory=dict)
-    converged: dict = field(default_factory=dict)
+    nonconverged: dict = field(default_factory=dict)
     slack: float = DEFAULT_OPT_SLACK
     kT: float | None = None
     z: float | None = None
+
+    @property
+    def converged(self):
+        return {k: not parts for k, parts in self.nonconverged.items()}
 
     def gap(self, k):
         return self.energies[k] - self.e0
@@ -265,7 +352,7 @@ def entanglement_gaps(h_mat, ks=None, restarts=32, tol=1e-10, seed=0,
             h_mat, k, restarts=restarts, tol=tol, seed=seed, lower_bound=e0
         )
         report.energies[int(k)] = res.energy
-        report.converged[int(k)] = res.converged
+        report.nonconverged[int(k)] = res.nonconverged
     return report
 
 
@@ -276,6 +363,6 @@ def gap_witness_detects(rho, report, k, slack=None):
         raise DomainError(f"report carries no E_ksep for k={k}")
     if rho.mat.shape != report.hamiltonian.shape:
         raise DomainError("state and Hamiltonian dimensions do not match")
-    energy = float(np.trace(rho.mat @ report.hamiltonian).real)
+    energy = float(np.einsum("ij,ji->", rho.mat, report.hamiltonian).real)
     margin = report.slack if slack is None else slack
     return energy < report.energies[k] - margin

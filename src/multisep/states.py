@@ -323,8 +323,9 @@ def _check_simplex(*weights):
 
 
 def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
-                 representation="dense"):
-    """Parametric noise families, dense or as closed-form providers.
+                 representation="dense", max_dim=None):
+    """Parametric noise families, dense (within the dense cap max_dim) or
+    as closed-form providers.
 
     family:
       ghz-iso    alpha * GHZ_d^n + (1-alpha)/d^n * I
@@ -364,7 +365,7 @@ def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
     if representation == "provider":
         return provider
     if representation == "dense":
-        return provider.to_dense()
+        return provider.to_dense(max_dim=max_dim)
     raise DomainError(f"unknown representation {representation!r}")
 
 

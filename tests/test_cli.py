@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multisep import manybody
 from multisep.cli import main
 
 
@@ -150,6 +151,20 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["crit", "--crit", "ppt", "--alpha", "0.5"],
+        ["scan", "--crit", "ppt", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
+        ["threshold", "--crit", "ppt", "--lo", "0.1", "--hi", "0.9"],
+        ["state", "--alpha", "0.5"],
+    ])
+    def test_max_dim_caps_family_states(self, capsys, command):
+        # ghz-iso at n = d = 4 has dimension 256
+        argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
+        assert main(argv + ["--max-dim", "100"]) == 2
+        assert "dimension 256 exceeds the cap 100" in capsys.readouterr().err
+        if command[0] == "crit":
+            assert main(argv + ["--max-dim", "256"]) == 0
+
     def test_partition_cap_is_resource_error(self):
         code = main(["crit", "--crit", "ksep", "--k", "3",
                      "--probe", "0" * 22 + "," + "1" * 22,
@@ -198,6 +213,25 @@ class TestManybodyCli:
         fields = row.split(",")
         assert float(fields[4]) > float(fields[3])     # E_2sep > E0
         assert fields[5] == "2"                        # GME detected
+
+    def test_nonconvergence_names_k_and_partitions(self, capsys, monkeypatch):
+        argv = ["manybody", "--n", "4", "--lattice", "ring", "--ks", "2,3",
+                "--restarts", "2"]
+        assert main(argv) == 0
+        converged = capsys.readouterr()
+        assert converged.err == ""
+        search = manybody.min_ksep_energy
+        monkeypatch.setattr(manybody, "min_ksep_energy",
+                            lambda *a, **kw: search(*a, max_iter=1, **kw))
+        assert main(argv) == 4
+        cut = capsys.readouterr()
+        assert cut.out.splitlines()[0] == converged.out.splitlines()[0]
+        assert len(cut.out.splitlines()) == 2
+        lines = cut.err.splitlines()
+        assert len(lines) == 2
+        for line, k, parts in zip(lines, (2, 3), ("{0|123}", "{0|1|23}")):
+            assert line.startswith(f"warning: product-state minimisation for k={k} at h=0 ")
+            assert parts in line
 
     def test_unstable_csv(self, capsys):
         code, out = run_cli(capsys, "unstable", "--t-start", "0", "--t-stop", "0",
