@@ -10,6 +10,7 @@ during the secret-sharing rounds themselves.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import sqrt
@@ -164,14 +165,23 @@ class QssSimulator:
     The eavesdrop toggle swaps the GHZ resource for the product state
     |000>, which breaks the reconstruction correlations and makes the
     verification inequality unviolated.
+
+    The construction tabulates, for each of the eight basis triples, the
+    CDF of its eight outcomes (the cumulative sum divided by its last
+    entry, as `Generator.choice` builds it) together with each outcome's
+    reconstructed Alice state, sifting flag and key match.  A round draws
+    `rng.integers(0, 8)` for the bases and one `rng.random()` looked up in
+    that CDF with the rule of `searchsorted(side="right")`, which is what
+    `rng.choice(8, p=probs)` draws, so every seed gives the same rounds.
     """
 
     def __init__(self, eavesdrop=False):
         self.eavesdrop = bool(eavesdrop)
         self.resource = _product_dm() if eavesdrop else _ghz3_dm()
-        self._table = qss_table()
+        table = qss_table()
         self._bases = [tuple(b) for b in product("xy", repeat=3)]
-        self._outcomes = {}
+        self._combos, self._cdfs, self._alice = [], [], []
+        self._sifted, self._matches = [], []
         for bases in self._bases:
             combos = [tuple(b + s for b, s in zip(bases, signs))
                       for signs in product("+-", repeat=3)]
@@ -181,27 +191,36 @@ class QssSimulator:
                                  for c in combo])
                 probs.append(max(np.trace(self.resource.mat @ proj).real, 0.0))
             probs = np.array(probs)
-            self._outcomes[bases] = (combos, probs / probs.sum())
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            alice = [table[(c[1], c[2])] for c in combos]
+            sifted = [bases[0] == a[0] for a in alice]
+            self._combos.append(combos)
+            self._cdfs.append(cdf.tolist())
+            self._alice.append(alice)
+            self._sifted.append(sifted)
+            self._matches.append([f and c[0] == a for f, c, a in zip(sifted, combos, alice)])
+
+    def _draw(self, rng):
+        """Indices (basis triple, outcome) of one round."""
+        b = int(rng.integers(0, len(self._bases)))
+        return b, bisect_right(self._cdfs[b], rng.random())
 
     def round(self, rng):
-        bases = self._bases[rng.integers(0, len(self._bases))]
-        combos, probs = self._outcomes[bases]
-        outcomes = combos[rng.choice(len(combos), p=probs)]
-        alice_state = self._table[(outcomes[1], outcomes[2])]
-        sifted = bases[0] == alice_state[0]
-        return QssRound(bases=bases, outcomes=outcomes, sifted=sifted,
-                        alice_state=alice_state)
+        b, o = self._draw(rng)
+        return QssRound(bases=self._bases[b], outcomes=self._combos[b][o],
+                        sifted=self._sifted[b][o], alice_state=self._alice[b][o])
 
     def run(self, rounds, seed=0):
+        if rounds < 0:
+            raise DomainError(f"the number of rounds must be non-negative, got {rounds}")
         rng = np.random.default_rng(seed)
         sifted = 0
         matches = 0
         for _ in range(rounds):
-            rnd = self.round(rng)
-            if rnd.sifted:
-                sifted += 1
-                if rnd.outcomes[0] == rnd.alice_state:
-                    matches += 1
+            b, o = self._draw(rng)
+            sifted += self._sifted[b][o]
+            matches += self._matches[b][o]
         return {
             "rounds": rounds,
             "sifted": sifted,
@@ -220,6 +239,8 @@ class QssSimulator:
         exact = pauli_expectations(self.resource, required_pauli_strings())
         if shots is None:
             return exact
+        if shots < 1:
+            raise DomainError(f"shots must be at least 1, got {shots}")
         rng = np.random.default_rng(seed)
         noisy = {}
         for s, e in exact.items():

@@ -286,6 +286,26 @@ def cmd_manybody(args):
     return 4 if warnings else 0
 
 
+def _load_expectations(path):
+    """{Pauli string: value} from a `qss simulate --emit-expectations` file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read expectations file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"expectations file {path!r} is not valid JSON: {exc}") from exc
+    try:
+        return {
+            tuple(int(x) for x in s): float(v)
+            for s, v in zip(payload["strings"], payload["values"], strict=True)
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            f"expectations file {path!r} needs equal-length lists 'strings' "
+            f"(of integer labels) and 'values' (of numbers)") from exc
+
+
 def cmd_qss(args):
     if args.qss_cmd == "simulate":
         sim = QssSimulator(eavesdrop=args.eavesdrop)
@@ -301,13 +321,7 @@ def cmd_qss(args):
         _write_lines([json.dumps(summary)], args.out)
         return 0
     if args.qss_cmd == "verify":
-        with open(args.expectations) as fh:
-            payload = json.load(fh)
-        expectations = {
-            tuple(int(x) for x in s): v
-            for s, v in zip(payload["strings"], payload["values"])
-        }
-        report = qss_verification_value(expectations)
+        report = qss_verification_value(_load_expectations(args.expectations))
         _write_lines([report.to_json()], args.out)
         return 0
     raise DomainError("qss needs a subcommand: simulate or verify")

@@ -19,14 +19,19 @@ from math import cos, cosh, exp, sin, sinh, sqrt
 import numpy as np
 from scipy.optimize import minimize
 
+from .applications import PAULI
 from .errors import DomainError
 from .tensor import kron_all
 
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+# sigma_x, sigma_y, sigma_z from the package's one Pauli table; its sigma_2
+# is the transposed sigma_y, so transposing it back gives the textbook one.
+_SIGMA = (PAULI[1], PAULI[2].T, PAULI[3])
+
+# grid cells evaluated per array pass, which bounds the pass's memory
+_GRID_CHUNK = 1 << 16
+# array values this close (relative, at least 1 as the scale) to the grid
+# maximum are re-checked with the scalar expression, which picks the cell
+_TIE_RTOL = 1e-12
 
 _SINGLET = np.array([0, 1, -1, 0], dtype=complex) / sqrt(2)
 
@@ -113,11 +118,21 @@ def chsh_bound(settings, grid=(64, 128), refine=True):
     With O = c I + n · sigma, the expectation on a product state is
     affine in each party's Bloch vector, so party B's optimum is closed
     form (base ± |coefficient vector|); party A's sphere is gridded
-    (theta x phi resolution per `grid`) and the best cell is polished by
-    Nelder-Mead.  Local-realistic correlations cannot leave
-    [b_minus, b_plus].
+    (theta x phi resolution per `grid`, each at least 1) and the best
+    cell is polished by Nelder-Mead.  Local-realistic correlations
+    cannot leave [b_minus, b_plus].
+
+    The grid is evaluated in array passes.  Cells whose array value lies
+    within 1e-12 * max(1, |grid maximum|) of the grid maximum are
+    evaluated again with the scalar expression the polish uses, in grid
+    order, and the first strictly largest wins, so ties and last-digit
+    differences between the array and scalar arithmetic cannot change
+    the chosen cell.
     """
     a1, a2, b1, b2 = _check_settings(settings)
+    n_theta, n_phi = grid
+    if n_theta < 1 or n_phi < 1:
+        raise DomainError(f"grid sizes must be at least 1, got {n_theta} x {n_phi}")
     na1, na2 = bloch_vector(a1), bloch_vector(a2)
     nb1, nb2 = bloch_vector(b1), bloch_vector(b2)
     ca1, ca2 = 1.0 - np.linalg.norm(na1), 1.0 - np.linalg.norm(na2)
@@ -132,21 +147,46 @@ def chsh_bound(settings, grid=(64, 128), refine=True):
         coeff = g1 * nb_sum + g2 * nb_diff
         return base + sign * np.linalg.norm(coeff)
 
-    n_theta, n_phi = grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    # the factors of _unit, from the same scalar sin and cos, so the
+    # array's unit vectors equal _unit's bit for bit
+    sin_t, cos_t = (np.array([f(x) for x in thetas]) for f in (sin, cos))
+    sin_p, cos_p = (np.array([f(x) for x in phis]) for f in (sin, cos))
+    rows = max(1, _GRID_CHUNK // n_phi)
+
+    def grid_candidates(sign):
+        """Flat grid indices, in grid order, of every cell near the grid
+        maximum of sign * extremum, plus any near an earlier chunk's
+        running maximum; none when every value is NaN."""
+        top, cand = -np.inf, []
+        for start in range(0, n_theta, rows):
+            st, ct = sin_t[start:start + rows, None], cos_t[start:start + rows, None]
+            units = np.stack(np.broadcast_arrays(st * cos_p, st * sin_p, ct),
+                             axis=-1).reshape(-1, 3)
+            g1 = ca1 + units @ na1
+            g2 = ca2 + units @ na2
+            base = g1 * cb_sum + g2 * cb_diff
+            coeff = g1[:, None] * nb_sum + g2[:, None] * nb_diff
+            vals = sign * (base + sign * np.sqrt(np.einsum("ij,ij->i", coeff, coeff)))
+            top = max(top, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
+            cut = top - _TIE_RTOL * max(1.0, abs(top)) if np.isfinite(top) else top
+            # cells kept from earlier chunks under a lower cut cannot win
+            # the scalar re-check, so they need no second filter
+            cand.append(np.flatnonzero(vals >= cut) + start * n_phi)
+        return np.concatenate(cand)
 
     results = {}
     converged = True
     for sign, label in ((1.0, "max"), (-1.0, "min")):
         best_val = -np.inf
         best_angles = (0.0, 0.0)
-        for th in thetas:
-            for ph in phis:
-                val = sign * extremum(_unit(th, ph), sign)
-                if val > best_val:
-                    best_val = val
-                    best_angles = (th, ph)
+        for idx in grid_candidates(sign):
+            th, ph = thetas[idx // n_phi], phis[idx % n_phi]
+            val = sign * extremum(_unit(th, ph), sign)
+            if val > best_val:
+                best_val = val
+                best_angles = (th, ph)
         if refine:
             res = minimize(
                 lambda x: -sign * extremum(_unit(x[0], x[1]), sign),

@@ -201,6 +201,35 @@ class TestQssCli:
         _, second = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--rounds", "-5"], "rounds must be non-negative"),
+        (["--shots", "0", "--emit-expectations", "{path}"], "shots must be at least 1"),
+    ])
+    def test_bad_simulate_input_is_usage_error(self, tmp_path, capsys, extra, message):
+        argv = [x.format(path=tmp_path / "e.json") for x in extra]
+        assert main(["qss", "simulate", "--rounds", "10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read expectations file"),
+        ("{not json", "is not valid JSON"),
+        ('{"strings": [[0, 0, 0]]}', "needs equal-length lists"),
+        ('{"strings": [[0, 0, 0]], "values": [1.0, 2.0]}', "needs equal-length lists"),
+        ('{"strings": [["a"]], "values": [1.0]}', "needs equal-length lists"),
+        ("[1, 2]", "needs equal-length lists"),
+    ])
+    def test_bad_expectations_file_is_usage_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "e.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["qss", "verify", "--expectations", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
 
 class TestManybodyCli:
     def test_csv_columns_and_gap(self, capsys):
@@ -232,6 +261,13 @@ class TestManybodyCli:
         for line, k, parts in zip(lines, (2, 3), ("{0|123}", "{0|1|23}")):
             assert line.startswith(f"warning: product-state minimisation for k={k} at h=0 ")
             assert parts in line
+
+    @pytest.mark.parametrize("grid", [["--grid-phi", "-3"], ["--grid-theta", "0"]])
+    def test_unstable_empty_grid_is_usage_error(self, capsys, grid):
+        assert main(["unstable", *grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid sizes must be at least 1")
 
     def test_unstable_csv(self, capsys):
         code, out = run_cli(capsys, "unstable", "--t-start", "0", "--t-stop", "0",
