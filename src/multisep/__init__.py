@@ -2,7 +2,7 @@
 applications: many-body gap witnesses, secret-sharing verification, and
 Bell bounds for unstable systems."""
 
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .tensor import (
     DensityMatrix,
     StateVector,

@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import criteria, manybody, measures, unstable
 from .applications import QssSimulator, qss_verification_value
-from .errors import ConvergenceError, DomainError, ResourceError
-from .states import StateSpec, as_provider, family_state, make_state, mix_white_noise
+from .errors import DomainError, ResourceError
+from .states import StateSpec, family_state, make_state, mix_white_noise
 from .tensor import (
     DensityMatrix,
     StateVector,
@@ -45,12 +46,28 @@ def _fmt(x):
     return str(x)
 
 
+@contextmanager
+def _file_errors(path, what, verb="read"):
+    """Report a file that cannot be opened, or whose contents do not parse,
+    as a usage error naming the path."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except OSError as exc:
+        raise DomainError(f"cannot {verb} {what} {path!r}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DomainError(f"{what} {path!r} does not have the expected layout: {exc}") from exc
+
+
 def _write_lines(lines, out):
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with _file_errors(out, "output file", "write"), open(out, "w") as fh:
             fh.write(text)
 
 
@@ -67,17 +84,24 @@ def _parse_probe(text):
     return criteria.ProbePair(tuple(int(c) for c in a), tuple(int(c) for c in b))
 
 
-def _load_state(args, need_dense=False):
+def _load_density_matrix(args):
+    with _file_errors(args.infile, "density-matrix file"):
+        return load_density_matrix(args.infile, max_dim=args.max_dim)
+
+
+def _family_kwargs(args):
+    """The family parameters of the command line, as family_state keywords."""
+    return {"n": args.n, "d": args.d, "m": args.m,
+            "alpha": args.alpha, "beta": args.beta, "p": args.p}
+
+
+def _load_state(args):
     """State from --in (JSON file) or a --family specification."""
     if getattr(args, "infile", None):
-        return load_density_matrix(args.infile, max_dim=args.max_dim)
+        return _load_density_matrix(args)
     if getattr(args, "family", None):
-        rep = "dense" if need_dense else "provider"
-        return family_state(
-            args.family, n=args.n, d=args.d, m=args.m,
-            alpha=args.alpha, beta=args.beta, p=args.p, representation=rep,
-            max_dim=args.max_dim,
-        )
+        return family_state(args.family, representation="provider", max_dim=args.max_dim,
+                            **_family_kwargs(args))
     raise DomainError("provide a state via --in FILE or --family NAME")
 
 
@@ -87,16 +111,13 @@ def _family_builder(args):
         raise DomainError(f"unknown family {family!r}")
     var = args.var or _FAMILY_VARS[family]
 
-    def build(value, need_dense):
-        kwargs = {
-            "n": args.n, "d": args.d, "m": args.m,
-            "alpha": args.alpha, "beta": args.beta, "p": args.p,
-        }
+    def build(value):
+        kwargs = _family_kwargs(args)
         if var not in kwargs:
             raise DomainError(f"cannot sweep {var!r}")
         kwargs[var] = value
-        rep = "dense" if need_dense else "provider"
-        return family_state(family, representation=rep, max_dim=args.max_dim, **kwargs)
+        return family_state(family, representation="provider", max_dim=args.max_dim,
+                            **kwargs)
 
     return build, var
 
@@ -106,7 +127,7 @@ def _evaluate(args, state):
     tol = args.tol
     if crit == "ppt":
         if not isinstance(state, DensityMatrix):
-            state = as_provider(state).to_dense(max_dim=args.max_dim, validate=False)
+            state = state.to_dense(max_dim=args.max_dim)
         return criteria.ppt_check(state, args.block or [0], tol=tol)
     if crit == "bipartite":
         return criteria.bipartite_value(state, _parse_probe(args.probe), tol=tol)
@@ -131,41 +152,33 @@ def _evaluate(args, state):
     raise DomainError(f"unknown criterion {crit!r}")
 
 
-_NEEDS_PROBE = {"bipartite", "gme", "ksep"}
-_NEEDS_DENSE = {"ppt"}
-
-
 def cmd_state(args):
     if args.family:
-        rho = family_state(
-            args.family, n=args.n, d=args.d, m=args.m,
-            alpha=args.alpha, beta=args.beta, p=args.p, max_dim=args.max_dim,
-        )
+        rho = family_state(args.family, max_dim=args.max_dim, **_family_kwargs(args))
     else:
         spec = StateSpec(
             kind=args.kind, n=args.n, d=args.d, m=args.m,
-            label=args.label, labels=tuple(int(c) for c in args.labels or ""),
+            label=args.label, labels=tuple(args.labels or ()),
         )
         state = make_state(spec)
         rho = vec_to_dm(state) if isinstance(state, StateVector) else state
         if args.noise is not None:
             rho = mix_white_noise(rho, args.noise)
-    if args.out is None or args.out == "-":
-        save_density_matrix(rho, "/dev/stdout")
-    else:
-        save_density_matrix(rho, args.out)
+    out = "/dev/stdout" if args.out is None or args.out == "-" else args.out
+    with _file_errors(out, "output file", "write"):
+        save_density_matrix(rho, out)
     return 0
 
 
 def cmd_crit(args):
-    state = _load_state(args, need_dense=args.crit in _NEEDS_DENSE)
+    state = _load_state(args)
     report = _evaluate(args, state)
     _write_lines([report.to_json()], args.out)
     return 0
 
 
 def cmd_measure(args):
-    rho = load_density_matrix(args.infile, max_dim=args.max_dim)
+    rho = _load_density_matrix(args)
     if args.measure == "cgme-bound":
         res = measures.cgme_lower_bound(rho, _parse_probe(args.probe))
     else:
@@ -178,9 +191,8 @@ def cmd_measure(args):
         if args.measure == "cgme":
             res = measures.cgme_pure(psi)
         elif args.measure == "schmidt-rank":
-            cut = [int(c) for c in args.cut.split(",")]
-            rank = measures.schmidt_rank(psi, cut)
-            _write_lines([json.dumps({"name": "schmidt_rank", "cut": cut, "value": rank})],
+            rank = measures.schmidt_rank(psi, args.cut)
+            _write_lines([json.dumps({"name": "schmidt_rank", "cut": args.cut, "value": rank})],
                          args.out)
             return 0
         else:
@@ -207,10 +219,9 @@ def _grid(start, stop, step):
 
 def cmd_scan(args):
     build, var = _family_builder(args)
-    need_dense = args.crit in _NEEDS_DENSE
     lines = [f"{var},value,violated"]
     for value in _grid(args.start, args.stop, args.step):
-        report = _evaluate(args, build(value, need_dense))
+        report = _evaluate(args, build(value))
         lines.append(f"{_fmt(float(value))},{_fmt(report.value)},{_fmt(report.violated)}")
     _write_lines(lines, args.out)
     return 0
@@ -218,10 +229,9 @@ def cmd_scan(args):
 
 def cmd_threshold(args):
     build, var = _family_builder(args)
-    need_dense = args.crit in _NEEDS_DENSE
 
     def detected(value):
-        return _evaluate(args, build(value, need_dense)).violated
+        return _evaluate(args, build(value)).violated
 
     lo, hi = args.lo, args.hi
     det_lo, det_hi = detected(lo), detected(hi)
@@ -232,6 +242,8 @@ def cmd_threshold(args):
         )
     while hi - lo > args.threshold_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float left between lo and hi
+            break
         if detected(mid) == det_lo:
             lo = mid
         else:
@@ -247,7 +259,7 @@ def cmd_threshold(args):
 def cmd_manybody(args):
     lattice = manybody.Lattice.ring(args.n) if args.lattice == "ring" \
         else manybody.Lattice.chain(args.n)
-    ks = [int(x) for x in args.ks.split(",")] if args.ks else list(range(2, args.n + 1))
+    ks = args.ks or list(range(2, args.n + 1))
     h_values = _grid(args.h_start, args.h_stop, args.h_step)
     header = ["h", "gamma", "kT", "E0"] + [f"E_{k}sep" for k in ks] + [
         "detected_k", "cgme_ground"]
@@ -263,18 +275,11 @@ def cmd_manybody(args):
                 warnings.append(
                     f"warning: product-state minimisation for k={k} at h={_fmt(float(h))} "
                     f"did not converge in partitions {' '.join(map(str, parts))}")
-        if args.kT is not None:
-            rho = manybody.thermal_state(h_mat, args.kT)
-            report.kT = args.kT
-            report.z = manybody.partition_function(h_mat, args.kT)
-        else:
-            rho = manybody.ground_state_dm(h_mat)
+        rho, ground = manybody._state_and_ground(h_mat, args.kT)
         detected = 0
         for k in sorted(ks):
             if manybody.gap_witness_detects(rho, report, k):
                 detected = k
-        evals, evecs = np.linalg.eigh(h_mat)
-        ground = StateVector(rho.shape, evecs[:, 0])
         cgme = measures.cgme_pure(ground).value
         row = [h, args.gamma, args.kT if args.kT is not None else 0.0, report.e0]
         row += [report.energies[k] for k in ks]
@@ -288,13 +293,8 @@ def cmd_manybody(args):
 
 def _load_expectations(path):
     """{Pauli string: value} from a `qss simulate --emit-expectations` file."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read expectations file {path!r}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise DomainError(f"expectations file {path!r} is not valid JSON: {exc}") from exc
+    with _file_errors(path, "expectations file"), open(path) as fh:
+        payload = json.load(fh)
     try:
         return {
             tuple(int(x) for x in s): float(v)
@@ -316,7 +316,8 @@ def cmd_qss(args):
                 "strings": [list(s) for s in expectations],
                 "values": [float(v) for v in expectations.values()],
             }
-            with open(args.emit_expectations, "w") as fh:
+            with _file_errors(args.emit_expectations, "expectations file", "write"), \
+                    open(args.emit_expectations, "w") as fh:
                 json.dump(payload, fh)
         _write_lines([json.dumps(summary)], args.out)
         return 0
@@ -350,6 +351,15 @@ def cmd_unstable(args):
     return 4 if nonconverged else 0
 
 
+def _int_list(text):
+    """Comma-separated integers, e.g. 0,2 (an argparse type)."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+
+
 def _add_common(parser):
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--d", type=int, default=2)
@@ -372,7 +382,7 @@ def _add_crit(parser):
                         choices=["ppt", "bipartite", "gme", "ksep", "dicke", "q0", "qm",
                                  "double-class", "ntuple-class", "fw-ghz3", "fw-w3"])
     parser.add_argument("--probe", help="probe pair, e.g. 000,111")
-    parser.add_argument("--block", type=lambda s: [int(c) for c in s.split(",")],
+    parser.add_argument("--block", type=_int_list,
                         help="subsystems for ppt, e.g. 0 or 0,1")
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--f", type=int, default=2)
@@ -391,7 +401,8 @@ def build_parser():
     p.add_argument("--kind", default="ghz",
                    choices=["ghz", "w", "dicke", "smolin", "bell", "basis-product"])
     p.add_argument("--label", default="phi+")
-    p.add_argument("--labels", default=None, help="basis-product labels, e.g. 010")
+    p.add_argument("--labels", type=lambda s: [int(c) for c in s], default=None,
+                   help="basis-product labels, e.g. 010")
     p.add_argument("--noise", type=float, default=None,
                    help="mix with white noise: p*rho + (1-p)*I/dim")
     p.set_defaults(func=cmd_state)
@@ -408,7 +419,7 @@ def build_parser():
     p.add_argument("--measure", required=True, choices=["cgme", "cgme-bound", "schmidt-rank"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--probe", default=None)
-    p.add_argument("--cut", default="0")
+    p.add_argument("--cut", type=_int_list, default="0")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("scan", help="sweep a family parameter against a criterion")
@@ -439,7 +450,8 @@ def build_parser():
     p.add_argument("--h-stop", type=float, default=0.0, dest="h_stop")
     p.add_argument("--h-step", type=float, default=1.0, dest="h_step")
     p.add_argument("--kT", type=float, default=None)
-    p.add_argument("--ks", default=None, help="comma-separated k values (default 2..n)")
+    p.add_argument("--ks", type=_int_list, default=None,
+                   help="comma-separated k values (default 2..n)")
     p.add_argument("--restarts", type=int, default=32)
     p.set_defaults(func=cmd_manybody)
 
@@ -492,9 +504,6 @@ def main(argv=None):
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -7,8 +7,3 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """Raised when a computation would exceed a configured resource cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine fails to converge and no partial
-    result makes sense."""

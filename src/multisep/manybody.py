@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, hermitian_spectrum, qubits
+from .tensor import DensityMatrix, StateVector, hermitian_spectrum, qubits
 
 DEFAULT_OPT_SLACK = 1e-6
 
@@ -39,6 +39,8 @@ class Lattice:
 
     def __init__(self, n, edges):
         n = int(n)
+        if n < 1:
+            raise DomainError(f"a lattice needs at least one site, got n={n}")
         norm_edges = []
         seen = set()
         for i, j in edges:
@@ -131,27 +133,34 @@ def partition_function(h_mat, kT):
     return float(np.sum(np.exp(-(energies - energies[0]) / kT)) * np.exp(-energies[0] / kT))
 
 
-def thermal_state(h_mat, kT):
-    """Gibbs state exp(-H/kT)/Z via eigendecomposition."""
-    if kT <= 0:
+def _state_and_ground(h_mat, kT=None, degeneracy_tol=1e-9):
+    """The Gibbs state exp(-H/kT)/Z and a ground-state vector, from one
+    eigendecomposition of H.  kT None gives the equal mixture over the
+    (possibly degenerate) ground manifold, the kT -> 0+ limit."""
+    if kT is not None and kT <= 0:
         raise DomainError(f"temperature kT={kT} must be positive")
     n = _qubit_count(h_mat)
     evals, evecs = np.linalg.eigh(h_mat)
-    weights = np.exp(-(evals - evals[0]) / kT)
-    weights /= weights.sum()
-    mat = (evecs * weights) @ evecs.conj().T
-    return DensityMatrix(qubits(n), mat, validate=False)
+    if kT is None:
+        vecs = evecs[:, evals <= evals[0] + degeneracy_tol]
+        mat = vecs @ vecs.conj().T / vecs.shape[1]
+    else:
+        weights = np.exp(-(evals - evals[0]) / kT)
+        weights /= weights.sum()
+        mat = (evecs * weights) @ evecs.conj().T
+    return (DensityMatrix(qubits(n), mat, validate=False),
+            StateVector(qubits(n), evecs[:, 0]))
+
+
+def thermal_state(h_mat, kT):
+    """Gibbs state exp(-H/kT)/Z via eigendecomposition."""
+    return _state_and_ground(h_mat, kT)[0]
 
 
 def ground_state_dm(h_mat, degeneracy_tol=1e-9):
     """Equal mixture over the (possibly degenerate) ground manifold,
     i.e. the kT -> 0+ limit of the thermal state."""
-    n = _qubit_count(h_mat)
-    evals, evecs = np.linalg.eigh(h_mat)
-    members = evals <= evals[0] + degeneracy_tol
-    vecs = evecs[:, members]
-    mat = vecs @ vecs.conj().T / vecs.shape[1]
-    return DensityMatrix(qubits(n), mat, validate=False)
+    return _state_and_ground(h_mat, None, degeneracy_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -268,6 +277,8 @@ def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     n = _qubit_count(h_mat)
     if not 1 <= k <= n:
         raise DomainError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise DomainError(f"restarts must be at least 1, got {restarts}")
     if k == 1:
         return ProductMinimum(float(hermitian_spectrum(h_mat)[0]))
 
@@ -330,8 +341,6 @@ class GapReport:
     energies: dict = field(default_factory=dict)
     nonconverged: dict = field(default_factory=dict)
     slack: float = DEFAULT_OPT_SLACK
-    kT: float | None = None
-    z: float | None = None
 
     @property
     def converged(self):

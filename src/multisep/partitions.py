@@ -88,35 +88,16 @@ def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):
 
     Deterministic restricted-growth-string order; streaming, so criteria
     can fold over partitions without materialising the list.  Raises
-    ResourceError (carrying the count) if S(n,k) exceeds the cap.
+    ResourceError (carrying the count) if S(n,k) exceeds the cap.  A
+    Partition view of k_partition_rows.
     """
     n, k = _check_nk(n, k)
-    count = stirling2(n, k)
-    if cap is not None and count > cap:
-        raise ResourceError(
-            f"enumeration of {count} {k}-partitions of {n} labels exceeds the cap {cap}"
-        )
-
-    assignment = [0] * n
-
-    def grow(pos, used):
-        if pos == n:
-            if used == k:
-                blocks = [[] for _ in range(k)]
-                for label, b in enumerate(assignment):
-                    blocks[b].append(label)
-                yield Partition(blocks)
-            return
-        limit = min(used, k - 1)
-        for b in range(limit + 1):
-            new_used = max(used, b + 1)
-            # remaining positions must still be able to open k blocks
-            if new_used + (n - pos - 1) < k:
-                continue
-            assignment[pos] = b
-            yield from grow(pos + 1, new_used)
-
-    yield from grow(0, 0)
+    for chunk in k_partition_rows(n, k, cap):
+        for row in chunk.tolist():
+            blocks = [[] for _ in range(k)]
+            for label, b in enumerate(row):
+                blocks[b].append(label)
+            yield Partition(blocks)
 
 
 def partition_count(n, k, cap=DEFAULT_ENUMERATION_CAP):
@@ -133,8 +114,8 @@ def k_partition_rows(n, k, cap=DEFAULT_ENUMERATION_CAP, rows=1 << 14):
     """Every canonical k-partition of {0, ..., n-1} as restricted-growth rows.
 
     Yields integer arrays of shape (m, n), m <= rows, whose row r puts
-    label i into block row[r, i]; over all chunks the rows follow the
-    order of iter_k_partitions.  Prefixes grow one label at a time, depth
+    label i into block row[r, i]; over all chunks the rows follow
+    restricted-growth-string order.  Prefixes grow one label at a time, depth
     first, and every batch that exceeds `rows` is split, so memory stays
     bounded for any count.  The cap is checked before anything is built.
     """

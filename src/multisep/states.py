@@ -27,7 +27,6 @@ from .tensor import (
     SystemShape,
     _check_dense_dim,
     qudits,
-    vec_to_dm,
 )
 
 _BELL_AMPLITUDES = {
@@ -318,7 +317,8 @@ def mix_white_noise(rho, p):
 
 
 def _check_simplex(*weights):
-    if any(w < 0 for w in weights) or sum(weights) > 1.0 + 1e-12:
+    # written so that a NaN weight fails it too
+    if not (all(w >= 0 for w in weights) and sum(weights) <= 1.0 + 1e-12):
         raise DomainError(f"mixing weights {weights} outside the simplex")
 
 
@@ -411,12 +411,3 @@ def random_pure_state(dim, rng):
     """Haar-uniform pure state amplitudes of the given dimension."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def pure_to_dm(psi_or_vec, shape=None):
-    """|psi><psi| from a StateVector or a raw amplitude array."""
-    if isinstance(psi_or_vec, StateVector):
-        return vec_to_dm(psi_or_vec)
-    if shape is None:
-        raise DomainError("raw amplitudes need an explicit shape")
-    return vec_to_dm(StateVector(shape, psi_or_vec))

@@ -14,7 +14,7 @@ Schroedinger-picture formulation of measurements at unequal times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, cosh, exp, sin, sinh, sqrt
+from math import cos, cosh, exp, inf, isfinite, sin, sinh, sqrt
 
 import numpy as np
 from scipy.optimize import minimize
@@ -62,14 +62,27 @@ class EffectiveOpParams:
 
 
 def bloch_vector(p):
-    """The (shrinking) Bloch vector n(t) of the effective operator."""
-    dg = p.gamma_diff
-    n = np.array([
+    """The (shrinking) Bloch vector n(t) of the effective operator.
+
+    Its z component e^{-g t} (sinh(dg t) + cosh(dg t) cos(alpha)) is bounded
+    by 1; where sinh and cosh overflow it is taken in the equal form
+    (e^{(dg-g)t} (1 + cos(alpha)) - e^{(-dg-g)t} (1 - cos(alpha))) / 2.
+    """
+    dg, g, c = p.gamma_diff, p.gamma_mean, cos(p.alpha)
+    n = exp(-g * p.t) * np.array([
         cos(p.t + p.phi) * sin(p.alpha),
         sin(p.t + p.phi) * sin(p.alpha),
-        sinh(dg * p.t) + cosh(dg * p.t) * cos(p.alpha),
+        1.0,
     ])
-    return exp(-p.gamma_mean * p.t) * n
+    try:
+        z = sinh(dg * p.t) + cosh(dg * p.t) * c
+    except OverflowError:
+        z = inf
+    if isfinite(z):
+        n[2] *= z
+    else:
+        n[2] = 0.5 * (exp((dg - g) * p.t) * (1.0 + c) - exp((-dg - g) * p.t) * (1.0 - c))
+    return n
 
 
 def effective_operator(p):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from multisep import manybody
@@ -124,6 +125,16 @@ class TestThreshold:
         threshold = json.loads(thr_out)["threshold"]
         assert lo <= threshold <= hi + 1e-8
 
+    @pytest.mark.parametrize("tol", ["0", "1e-300"])
+    def test_tolerance_below_float_spacing_terminates(self, capsys, tol):
+        code, out = run_cli(capsys, "threshold", "--family", "ghz-iso", "--crit", "gme",
+                            "--probe", "000,111", "--lo", "0", "--hi", "1",
+                            "--threshold-tol", tol)
+        assert code == 0
+        report = json.loads(out)
+        assert report["tol"] == float(tol)
+        assert report["threshold"] == pytest.approx(3 / 7, abs=1e-9)
+
     def test_no_sign_change_is_usage_error(self, capsys):
         code = main(["threshold", "--family", "ghz-iso", "--n", "4", "--d", "4",
                      "--crit", "q0", "--f", "2", "--lo", "0.3", "--hi", "0.5"])
@@ -231,6 +242,57 @@ class TestQssCli:
         assert captured.err.startswith("error:") and message in captured.err
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize("argv, path", [
+        (["crit", "--crit", "gme", "--probe", "000,111", "--in", "{missing}/s.json"],
+         "{missing}/s.json"),
+        (["crit", "--crit", "gme", "--probe", "000,111", "--in", "{bad}"], "{bad}"),
+        (["crit", "--crit", "ppt", "--in", "{tmp}"], "{tmp}"),
+        (["measure", "--measure", "cgme", "--in", "{missing}/s.json"], "{missing}/s.json"),
+        (["measure", "--measure", "cgme", "--in", "{bad}"], "{bad}"),
+        (["crit", "--crit", "ppt", "--family", "ghz-iso", "--alpha", "0.5",
+          "--out", "{missing}/x"], "{missing}/x"),
+        (["unstable", "--grid-theta", "2", "--grid-phi", "2", "--out", "{missing}/x.csv"],
+         "{missing}/x.csv"),
+        (["state", "--kind", "ghz", "--out", "{missing}/x"], "{missing}/x"),
+        (["qss", "simulate", "--rounds", "5", "--emit-expectations", "{missing}/x.json"],
+         "{missing}/x.json"),
+    ])
+    def test_path_named_in_usage_error(self, tmp_path, capsys, argv, path):
+        (tmp_path / "bad.json").write_text("{not json")
+        names = {"missing": tmp_path / "missing", "bad": tmp_path / "bad.json",
+                 "tmp": tmp_path}
+        assert main([a.format(**names) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert repr(path.format(**names)) in captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["manybody", "--n", "4", "--restarts", "0"], "restarts must be at least 1"),
+        (["manybody", "--n", "0", "--lattice", "chain"], "at least one site"),
+        (["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
+          "--alpha", "nan"], "outside the simplex"),
+    ])
+    def test_domain_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["manybody", "--ks", "a"],
+        ["measure", "--measure", "schmidt-rank", "--in", "x.json", "--cut", "x"],
+        ["state", "--kind", "basis-product", "--labels", "01a"],
+    ])
+    def test_malformed_integer_list(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestManybodyCli:
     def test_csv_columns_and_gap(self, capsys):
         code, out = run_cli(capsys, "manybody", "--n", "4", "--lattice", "ring",
@@ -261,6 +323,26 @@ class TestManybodyCli:
         for line, k, parts in zip(lines, (2, 3), ("{0|123}", "{0|1|23}")):
             assert line.startswith(f"warning: product-state minimisation for k={k} at h=0 ")
             assert parts in line
+
+    @pytest.mark.parametrize("kT", [[], ["--kT", "0.5"]])
+    def test_one_eigh_of_the_hamiltonian_per_field_value(self, capsys, monkeypatch, kT):
+        eigh, shapes = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert main(["manybody", "--n", "4", "--h-start", "0", "--h-stop", "1",
+                     "--h-step", "0.5", "--restarts", "1", *kT]) == 0
+        assert shapes.count((16, 16)) == 3
+
+    def test_wide_decay_width_gives_numbers(self, capsys):
+        code, out = run_cli(capsys, "unstable", "--gamma1", "2000", "--t-start", "1",
+                            "--t-stop", "1", "--grid-theta", "4", "--grid-phi", "4")
+        assert code == 0
+        row = [float(x) for x in out.strip().splitlines()[1].split(",")]
+        assert all(np.isfinite(row))
 
     @pytest.mark.parametrize("grid", [["--grid-phi", "-3"], ["--grid-theta", "0"]])
     def test_unstable_empty_grid_is_usage_error(self, capsys, grid):

@@ -42,6 +42,11 @@ class TestLattice:
         with pytest.raises(DomainError):
             Lattice(3, [(0, 3)])
 
+    def test_needs_a_site(self):
+        for n in (0, -1):
+            with pytest.raises(DomainError, match="at least one site"):
+                Lattice.chain(n)
+
     def test_gamma_preset(self):
         p = HeisenbergParams.from_gamma(0.5, h=1.0)
         assert (p.jx, p.jy, p.jz, p.h) == (1.0, 0.5, 0.0, 1.0)
@@ -169,6 +174,12 @@ class TestMinKsepEnergy:
         h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams())
         with pytest.raises(DomainError):
             min_ksep_energy(h, 3)
+
+    def test_restarts_domain(self):
+        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams())
+        for restarts in (0, -1):
+            with pytest.raises(DomainError, match="restarts must be at least 1"):
+                min_ksep_energy(h, 2, restarts=restarts)
 
 
 class TestGapChain:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,23 @@ class TestStirling:
             assert bell_number(n) == len(enumerate_partitions_reference(n))
 
 
+def restricted_growth_reference(n, k):
+    """Every restricted-growth string with k blocks, by brute force over all
+    of range(k)^n: label 0 opens block 0, and each label joins an open
+    block or opens the next one.  Sorted lexicographically."""
+    out = []
+    for s in itertools.product(range(k), repeat=n):
+        top = -1
+        for b in s:
+            if b > top + 1:
+                break
+            top = max(top, b)
+        else:
+            if top == k - 1:
+                out.append(s)
+    return sorted(out)
+
+
 class TestEnumeration:
     def test_three_choose_two(self):
         parts = unique_k_partitions(3, 2)
@@ -104,6 +123,21 @@ class TestEnumeration:
                 assert got == want
                 assert all(len(chunk) <= rows
                            for chunk in k_partition_rows(n, k, rows=rows))
+
+    def test_order_matches_brute_force_reference(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                want = [tuple(tuple(i for i, b in enumerate(s) if b == block)
+                              for block in range(k))
+                        for s in restricted_growth_reference(n, k)]
+                assert [p.blocks for p in iter_k_partitions(n, k)] == want
+
+    def test_errors_raised_on_first_item(self):
+        for args, error in (((12, 4, 1000), ResourceError), ((3, 0), DomainError),
+                            ((0, 1), DomainError)):
+            parts = iter_k_partitions(*args)
+            with pytest.raises(error):
+                next(parts)
 
     def test_rows_cap_checked_first(self):
         with pytest.raises(ResourceError) as err:

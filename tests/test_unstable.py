@@ -64,6 +64,27 @@ class TestEffectiveOperator:
             evals = np.linalg.eigvalsh(effective_operator(p))
             assert np.allclose(sorted(evals), sorted([1.0, 1.0 - 2 * norm]), atol=1e-12)
 
+    @staticmethod
+    def bounded_z(p):
+        """e^{-g t} (sinh(dg t) + cosh(dg t) cos(alpha)) without sinh/cosh."""
+        g, dg, c = p.gamma_mean, p.gamma_diff, np.cos(p.alpha)
+        return 0.5 * (exp((dg - g) * p.t) * (1 + c) - exp((-dg - g) * p.t) * (1 - c))
+
+    @pytest.mark.parametrize("gamma1, gamma2, t", [
+        (1400.0, 0.0, 1.0), (0.0, 1400.0, 1.0), (700.0, 0.0, 2.0), (3.0, 1.0, 2.5)])
+    def test_bounded_form_agrees_where_sinh_is_finite(self, gamma1, gamma2, t):
+        p = EffectiveOpParams(alpha=1.1, phi=0.2, t=t, gamma1=gamma1, gamma2=gamma2)
+        assert bloch_vector(p)[2] == pytest.approx(self.bounded_z(p), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma1, gamma2", [(2000.0, 0.0), (0.0, 2000.0),
+                                                (1e6, 3.0), (1e300, 0.0)])
+    def test_wide_decay_widths_do_not_overflow(self, gamma1, gamma2):
+        for alpha in (0.0, 1.1, pi):
+            p = EffectiveOpParams(alpha=alpha, t=1.0, gamma1=gamma1, gamma2=gamma2)
+            n = bloch_vector(p)
+            assert np.all(np.isfinite(n)) and np.linalg.norm(n) <= 1.0
+            assert n[2] == pytest.approx(self.bounded_z(p), rel=1e-12, abs=1e-300)
+
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
             EffectiveOpParams(alpha=0.0, t=-1.0)
