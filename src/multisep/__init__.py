@@ -67,6 +67,7 @@ from .manybody import (
     GapReport,
     HeisenbergParams,
     Lattice,
+    SpinHamiltonian,
     entanglement_gaps,
     gap_witness_detects,
     ground_state_dm,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -29,6 +30,9 @@ from .tensor import (
     save_density_matrix,
     vec_to_dm,
 )
+
+# Points one --start/--stop/--step grid may hold.
+_MAX_GRID_POINTS = 1_000_000
 
 _FAMILY_VARS = {
     "ghz-iso": "alpha",
@@ -122,9 +126,16 @@ def _family_builder(args):
     return build, var
 
 
+def _check_tolerance(flag, tol):
+    # written so that a NaN tolerance fails it too
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"{flag} must be finite and non-negative, got {tol}")
+
+
 def _evaluate(args, state):
     crit = args.crit
     tol = args.tol
+    _check_tolerance("--tol", tol)
     if crit == "ppt":
         if not isinstance(state, DensityMatrix):
             state = state.to_dense(max_dim=args.max_dim)
@@ -203,18 +214,32 @@ def cmd_measure(args):
 
 
 def _grid(start, stop, step):
+    """start, start + step, ... while at most stop + 1e-12, the last
+    clipped to stop; the points are counted before any is built."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(f"grid start, stop and step must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise DomainError(f"step must be positive, got {step}")
     if start > stop:
         return []
-    values = []
-    x = start
-    i = 0
-    while x <= stop + 1e-12:
-        values.append(min(x, stop))
-        i += 1
-        x = start + i * step
-    return values
+
+    def inside(i):
+        return start + i * step <= stop + 1e-12
+
+    estimate = (stop + 1e-12 - start) / step + 1
+    if estimate > _MAX_GRID_POINTS:
+        raise ResourceError(f"grid of about {estimate:.3g} points exceeds {_MAX_GRID_POINTS}")
+    # start + i * step rounds monotonically in i, so the points form a
+    # prefix; correct the estimate to its exact length (inside(0) holds)
+    count = int(estimate)
+    while not inside(count - 1):
+        count -= 1
+    while inside(count):
+        count += 1
+        if count > _MAX_GRID_POINTS:
+            raise ResourceError(f"grid of more than {_MAX_GRID_POINTS} points")
+    # the first point is start itself, so -0.0 stays -0.0
+    return [min(start + i * step if i else start, stop) for i in range(count)]
 
 
 def cmd_scan(args):
@@ -234,6 +259,7 @@ def cmd_threshold(args):
         return _evaluate(args, build(value)).violated
 
     lo, hi = args.lo, args.hi
+    _check_tolerance("--threshold-tol", args.threshold_tol)
     det_lo, det_hi = detected(lo), detected(hi)
     if det_lo == det_hi:
         raise DomainError(
@@ -266,16 +292,16 @@ def cmd_manybody(args):
     lines = [",".join(header)]
     warnings = []
     for h in h_values:
-        params = manybody.HeisenbergParams.from_gamma(args.gamma, h=h)
-        h_mat = manybody.heisenberg_hamiltonian(lattice, params)
+        ham = manybody.SpinHamiltonian(
+            lattice, manybody.HeisenbergParams.from_gamma(args.gamma, h=h))
         report = manybody.entanglement_gaps(
-            h_mat, ks=ks, restarts=args.restarts, seed=args.seed)
+            ham, ks=ks, restarts=args.restarts, seed=args.seed)
         for k, parts in report.nonconverged.items():
             if parts:
                 warnings.append(
                     f"warning: product-state minimisation for k={k} at h={_fmt(float(h))} "
                     f"did not converge in partitions {' '.join(map(str, parts))}")
-        rho, ground = manybody._state_and_ground(h_mat, args.kT)
+        rho, ground = manybody._state_and_ground(ham.dense(), args.kT)
         detected = 0
         for k in sorted(ks):
             if manybody.gap_witness_detects(rho, report, k):

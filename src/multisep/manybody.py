@@ -4,29 +4,34 @@ The Hamiltonian of a set of spin-1/2 sites with nearest-neighbour
 couplings is used as its own entanglement witness: every k-separable
 state has energy at least E_ksep, so any state with energy below that
 bound is certified k-inseparable (the k = 2 interval is the GME gap).
-E_ksep is computed by constrained minimisation over product states of
-each canonical k-partition: alternating exact block ground-state
-updates, which decrease the energy monotonically, restarted from seeded
-random product states.  Partitions with the same ordered block sizes
-are swept together as one batch.  The result is therefore an upper
-bound on the true constrained minimum; detection keeps a slack margin
-in the conservative direction.
+A SpinHamiltonian holds the lattice and couplings; its dense matrix
+serves E_0 and the Gibbs state, and the small Hamiltonians of site
+blocks serve E_ksep.  E_ksep is computed by constrained minimisation
+over product states of each canonical k-partition: alternating exact
+block ground-state updates, each block's Hamiltonian plus the mean
+field of its neighbours' Bloch vectors, which decrease the energy
+monotonically, restarted from seeded random product states.
+Partitions with the same ordered block sizes are swept together as one
+batch.  The result is therefore an upper bound on the true constrained
+minimum; detection keeps a slack margin in the conservative direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .applications import PAULI
 from .errors import DomainError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, StateVector, hermitian_spectrum, qubits
+from .tensor import DensityMatrix, StateVector, hermitian_spectrum, kron_all, qubits
 
 DEFAULT_OPT_SLACK = 1e-6
 
-# Bytes of permuted Hamiltonian layouts and matmul products one batch of
-# partitions may hold; a partition that alone needs more runs by itself.
+# Bytes of block and effective Hamiltonians one batch of partitions may
+# hold; a partition that alone needs more runs by itself.
 _CHUNK_BYTES = 1 << 26
 
 
@@ -117,6 +122,50 @@ def heisenberg_hamiltonian(lattice, params, max_n=14):
     return h_mat
 
 
+@dataclass(frozen=True)
+class SpinHamiltonian:
+    """heisenberg_hamiltonian(lattice, params) kept as its lattice and
+    couplings.  The dense matrix and the Hamiltonians of site blocks are
+    built by heisenberg_hamiltonian on first use and cached."""
+
+    lattice: Lattice
+    params: HeisenbergParams
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def n(self):
+        return self.lattice.n
+
+    @property
+    def shape(self):
+        return (2 ** self.n, 2 ** self.n)
+
+    def dense(self):
+        """The full 2^n x 2^n matrix."""
+        return self.block(range(self.n))
+
+    def block(self, sites):
+        """H_A of the sites A in the order given (the first most
+        significant): the edges inside A and the field on A."""
+        sites = tuple(int(q) for q in sites)
+        if sites not in self._built:
+            if len(set(sites)) != len(sites) or not all(0 <= q < self.n for q in sites):
+                raise DomainError(f"block {sites} is not a set of sites of n={self.n}")
+            pos = {q: i for i, q in enumerate(sites)}
+            edges = [(pos[i], pos[j]) for i, j in self.lattice.edges if i in pos and j in pos]
+            mat = heisenberg_hamiltonian(Lattice(len(sites), edges), self.params)
+            mat.flags.writeable = False  # shared by every caller
+            self._built[sites] = mat
+        return self._built[sites]
+
+
+def _spin_count(ham):
+    if not isinstance(ham, SpinHamiltonian):
+        raise DomainError("the product-state search takes a SpinHamiltonian(lattice, params), "
+                          f"not {type(ham).__name__}")
+    return ham.n
+
+
 def _qubit_count(h_mat):
     dim = h_mat.shape[0]
     n = dim.bit_length() - 1
@@ -127,7 +176,7 @@ def _qubit_count(h_mat):
 
 def partition_function(h_mat, kT):
     """Z = sum_i exp(-E_i / kT)."""
-    if kT <= 0:
+    if not kT > 0:
         raise DomainError(f"temperature kT={kT} must be positive")
     energies = hermitian_spectrum(h_mat)
     return float(np.sum(np.exp(-(energies - energies[0]) / kT)) * np.exp(-energies[0] / kT))
@@ -137,7 +186,7 @@ def _state_and_ground(h_mat, kT=None, degeneracy_tol=1e-9):
     """The Gibbs state exp(-H/kT)/Z and a ground-state vector, from one
     eigendecomposition of H.  kT None gives the equal mixture over the
     (possibly degenerate) ground manifold, the kT -> 0+ limit."""
-    if kT is not None and kT <= 0:
+    if kT is not None and not kT > 0:  # NaN fails too
         raise DomainError(f"temperature kT={kT} must be positive")
     n = _qubit_count(h_mat)
     evals, evecs = np.linalg.eigh(h_mat)
@@ -176,93 +225,116 @@ class ProductMinimum:
         return not self.nonconverged
 
 
-def _permuted_layouts(h_mat, orders):
-    """H in the site order orders[p] for each row p, shape (P, dim, dim).
-
-    New basis state x holds site orders[p, pos] in bit pos, so its old
-    index sums 2^(n-1-orders[p, pos]) over the bits set in x.
-    """
-    n = orders.shape[1]
-    idx = (_site_bits(n) @ (1 << (n - 1 - orders)).T).T
-    return h_mat[idx[:, :, None], idx[:, None, :]]
+@lru_cache(maxsize=None)
+def _site_paulis(size):
+    """Row 3q + a: sigma_{a+1} on site q of a block of `size` sites,
+    flattened (applications.PAULI, whose sigma_2 = -Y is harmless here,
+    as every mean-field term is quadratic in it)."""
+    eye = PAULI[0]
+    out = np.array([
+        kron_all([eye] * q + [PAULI[a]] + [eye] * (size - q - 1)).reshape(-1)
+        for q in range(size) for a in (1, 2, 3)
+    ])
+    out.flags.writeable = False  # cached and shared
+    return out
 
 
 def _chunk_len(n, sizes, restarts):
-    """Partitions with these block sizes that fit one batch in _CHUNK_BYTES:
-    k layouts of dim^2 plus the largest (dA*dim, restarts) matmul product."""
-    dim = 2 ** n
-    per_partition = 16 * dim * (len(sizes) * dim + restarts * 2 ** max(sizes))
+    """Partitions with these block sizes (n sites in all) that fit one
+    batch in _CHUNK_BYTES: each block's Hamiltonian plus its effective
+    Hamiltonians over the restarts."""
+    per_partition = 16 * sum(4 ** s for s in sizes) * (1 + restarts)
     return max(1, _CHUNK_BYTES // per_partition)
 
 
-def _sweep_batch(h_mat, parts, starts, tol, max_iter):
+def _sweep_batch(ham, parts, starts, tol, max_iter):
     """Alternating block ground-state updates for partitions that share
     their ordered block sizes, all restarts at once.
+
+    A product state enters block A's update only through its neighbours'
+    Bloch vectors: A takes the ground vector of
+    heff_A = H_A + sum_{i in A} f_i . sigma^i, where
+    f_i^a = J_a/2 sum_{l not in A, (i, l) an edge} <sigma_a^l>, and the
+    energy is sum_B <H_B> + 1/2 sum_{inter-block edges} sum_a J_a
+    <sigma_a^i><sigma_a^l>.  Bloch vectors are held in each partition's
+    block-concatenated site order, so block j is a fixed slice and its
+    field one matmul with the permuted adjacency, whose within-block
+    entries are zero.
 
     starts[j] holds block j's start states, shape (P, restarts, dA_j).
     Returns each partition's least final energy over its restarts and
     whether its largest per-sweep decrement fell below tol.  Converged
     partitions leave the batch, which is compacted.
     """
-    n = parts[0].n
-    dim = 2 ** n
-    layouts = []
-    for j, block in enumerate(parts[0].blocks):
-        orders = np.array([
-            part.blocks[j] + tuple(q for i, other in enumerate(part.blocks) if i != j
-                                   for q in other)
-            for part in parts
-        ])
-        da = 2 ** len(block)
-        layouts.append(_permuted_layouts(h_mat, orders).reshape(len(parts), da * dim, dim // da))
-    states = list(starts)
-    restarts = states[0].shape[1]
+    sizes = [len(block) for block in parts[0].blocks]
+    cuts = np.cumsum([0] + sizes)
+    slices = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    orders = np.array([sum(part.blocks, ()) for part in parts])
+    adj = np.zeros((ham.n, ham.n))
+    for i, j in ham.lattice.edges:
+        adj[i, j] = adj[j, i] = 1.0
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    adj = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] != block_of)
+    adj = adj[:, None]  # broadcast over restarts
+    coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
+    block_hams = [np.stack([ham.block(part.blocks[j]) for part in parts])[:, None]
+                  for j in range(len(sizes))]
+    paulis = [_site_paulis(s) for s in sizes]
+
+    def bloch_vectors(j, states):
+        rho = states.conj()[..., :, None] * states[..., None, :]
+        return (rho.reshape(*states.shape[:2], -1) @ paulis[j].T).real.reshape(
+            *states.shape[:2], -1, 3)
+
+    bloch = np.concatenate([bloch_vectors(j, s) for j, s in enumerate(starts)], axis=2)
+    restarts = bloch.shape[1]
+    block_energy = np.zeros((len(parts), restarts, len(sizes)))
     live = np.arange(len(parts))
     energies = np.full((len(parts), restarts), np.inf)
     final = np.empty_like(energies)
     converged = np.zeros(len(parts), dtype=bool)
     for _ in range(max_iter):
         prev = energies
-        for j, layout in enumerate(layouts):
-            rest = np.ones((live.size, restarts, 1), dtype=complex)
-            for i, state in enumerate(states):
-                if i != j:
-                    rest = (rest[..., :, None] * state[..., None, :]).reshape(
-                        live.size, restarts, -1)
-            da = states[j].shape[2]
-            # heff[p, n, a, b] = sum_rs H[a, r, b, s] conj(rest[p, n, r]) rest[p, n, s]
-            half = (layout @ rest.transpose(0, 2, 1)).reshape(
-                live.size, da, -1, da, restarts)
-            heff = np.einsum("pnr,parbn->pnab", rest.conj(), half)
+        for j, sl in enumerate(slices):
+            mean_field = coupling * (adj[:, :, sl] @ bloch)
+            d = block_hams[j].shape[-1]
+            heff = block_hams[j] + (mean_field.reshape(*bloch.shape[:2], -1)
+                                    @ paulis[j]).reshape(*bloch.shape[:2], d, d)
             evals, evecs = np.linalg.eigh(heff)
-            states[j] = evecs[..., 0]
-            energies = evals[..., 0]
+            bloch[:, :, sl] = bloch_vectors(j, evecs[..., 0])
+            block_energy[..., j] = evals[..., 0] - np.sum(mean_field * bloch[:, :, sl],
+                                                          axis=(2, 3))
+        bonds = np.sum(coupling * (adj @ bloch) * bloch, axis=(2, 3))
+        energies = block_energy.sum(axis=2) + 0.5 * bonds
         done = np.max(prev - energies, axis=1) < tol
         if done.any():
             final[live[done]] = energies[done]
             converged[live[done]] = True
             keep = ~done
             live, energies = live[keep], energies[keep]
-            states = [s[keep] for s in states]
-            layouts = [lay[keep] for lay in layouts]
+            bloch, block_energy, adj = bloch[keep], block_energy[keep], adj[keep]
+            block_hams = [h[keep] for h in block_hams]
             if not live.size:
                 break
     final[live] = energies
     return final.min(axis=1), converged
 
 
-def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
+def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
                     lower_bound=None):
     """Minimal energy over k-separable states (upper bound by local search).
 
-    Minimises <psi|H|psi> over product states of every canonical
-    k-partition by alternating exact block ground-state updates; each
-    update can only lower the energy, so every restart converges in
-    energy.  k = 1 is the unconstrained ground energy.
+    `ham` is a SpinHamiltonian.  Minimises <psi|H|psi> over product
+    states of every canonical k-partition by alternating exact block
+    ground-state updates, each block in the mean field of its
+    neighbours' Bloch vectors (see _sweep_batch); each update can only
+    lower the energy, so every restart converges in energy.  Only block
+    Hamiltonians are built, never the 2^n x 2^n matrix, except for k = 1,
+    the unconstrained ground energy.
 
     Partitions with the same ordered block sizes (every (4, 2)
     bipartition, say) are swept as one batch, all restarts together,
-    in chunks of at most _CHUNK_BYTES of permuted Hamiltonian layouts.
+    in chunks of at most _CHUNK_BYTES of block and effective Hamiltonians.
     Start states are drawn from the seeded generator per partition in
     enumeration order and per block, so each (partition, restart)
     starts exactly where a one-partition-at-a-time search would.  A
@@ -274,13 +346,13 @@ def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     enumeration order reaches it; the result then covers exactly those
     partitions, as a one-partition-at-a-time search would.
     """
-    n = _qubit_count(h_mat)
+    n = _spin_count(ham)
     if not 1 <= k <= n:
         raise DomainError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts}")
     if k == 1:
-        return ProductMinimum(float(hermitian_spectrum(h_mat)[0]))
+        return ProductMinimum(float(hermitian_spectrum(ham.dense())[0]))
 
     rng = np.random.default_rng(seed)
     floor = -np.inf if lower_bound is None else lower_bound + tol
@@ -295,7 +367,7 @@ def min_ksep_energy(h_mat, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
         nonlocal best, cursor
         parts = [part for _, part, _ in batch]
         starts = [np.stack(block) for block in zip(*(s for _, _, s in batch))]
-        energies, converged = _sweep_batch(h_mat, parts, starts, tol, max_iter)
+        energies, converged = _sweep_batch(ham, parts, starts, tol, max_iter)
         for (index, part, _), energy, ok in zip(batch, energies, converged):
             settled[index] = (part, float(energy), ok)
         while cursor in settled:
@@ -336,7 +408,7 @@ class GapReport:
     """Ground energy, per-k product-state minima and the implied gaps;
     nonconverged[k] names the partitions whose search hit max_iter."""
 
-    hamiltonian: np.ndarray
+    hamiltonian: SpinHamiltonian
     e0: float
     energies: dict = field(default_factory=dict)
     nonconverged: dict = field(default_factory=dict)
@@ -350,15 +422,16 @@ class GapReport:
         return self.energies[k] - self.e0
 
 
-def entanglement_gaps(h_mat, ks=None, restarts=32, tol=1e-10, seed=0,
+def entanglement_gaps(ham, ks=None, restarts=32, tol=1e-10, seed=0,
                       slack=DEFAULT_OPT_SLACK):
-    """E_ksep for every requested k (default 2..n) plus the exact E_0."""
-    n = _qubit_count(h_mat)
-    e0 = float(hermitian_spectrum(h_mat)[0])
-    report = GapReport(hamiltonian=h_mat, e0=e0, slack=slack)
+    """E_ksep of the SpinHamiltonian `ham` for every requested k (default
+    2..n) plus the exact E_0 of its dense matrix."""
+    n = _spin_count(ham)
+    e0 = float(hermitian_spectrum(ham.dense())[0])
+    report = GapReport(hamiltonian=ham, e0=e0, slack=slack)
     for k in ks if ks is not None else range(2, n + 1):
         res = min_ksep_energy(
-            h_mat, k, restarts=restarts, tol=tol, seed=seed, lower_bound=e0
+            ham, k, restarts=restarts, tol=tol, seed=seed, lower_bound=e0
         )
         report.energies[int(k)] = res.energy
         report.nonconverged[int(k)] = res.nonconverged
@@ -372,6 +445,6 @@ def gap_witness_detects(rho, report, k, slack=None):
         raise DomainError(f"report carries no E_ksep for k={k}")
     if rho.mat.shape != report.hamiltonian.shape:
         raise DomainError("state and Hamiltonian dimensions do not match")
-    energy = float(np.einsum("ij,ji->", rho.mat, report.hamiltonian).real)
+    energy = float(np.einsum("ij,ji->", rho.mat, report.hamiltonian.dense()).real)
     margin = report.slack if slack is None else slack
     return energy < report.energies[k] - margin

@@ -47,6 +47,8 @@ class EffectiveOpParams:
     gamma2: float = 0.0
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.alpha, self.phi, self.t, self.gamma1, self.gamma2))):
+            raise DomainError(f"angles, time and decay widths must be finite, got {self}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise DomainError("decay widths must be non-negative")
         if self.t < 0:

@@ -19,6 +19,7 @@ from multisep import (
     Lattice,
     ProbePair,
     QssSimulator,
+    SpinHamiltonian,
     bloch_vector,
     cgme_pure,
     chsh_bound,
@@ -32,7 +33,6 @@ from multisep import (
     fidelity_witness_value,
     ghz_state,
     gme_value,
-    heisenberg_hamiltonian,
     hermitian_spectrum,
     ksep_value,
     maximally_mixed,
@@ -291,8 +291,8 @@ def test_criterion_09_qss():
 def test_criterion_10_manybody_gaps():
     started = time.perf_counter()
     lattice = Lattice.ring(6)
-    h_mat = heisenberg_hamiltonian(lattice, HeisenbergParams.from_gamma(0.0))
-    report = entanglement_gaps(h_mat, restarts=32, seed=1)
+    ham = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(0.0))
+    report = entanglement_gaps(ham, restarts=32, seed=1)
     energies = [report.e0] + [report.energies[k] for k in range(2, 7)]
     ordering_ok = all(
         energies[i] <= energies[i + 1] + 2e-6 for i in range(len(energies) - 1))
@@ -301,12 +301,11 @@ def test_criterion_10_manybody_gaps():
     field_ok = True
     cgme_ok = True
     for h in (3.0, -3.0):
-        h_field = heisenberg_hamiltonian(lattice,
-                                         HeisenbergParams.from_gamma(0.0, h=h))
-        e0 = float(hermitian_spectrum(h_field)[0])
+        h_field = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(0.0, h=h))
+        e0 = float(hermitian_spectrum(h_field.dense())[0])
         res = min_ksep_energy(h_field, 2, restarts=32, seed=1, lower_bound=e0)
         field_ok = field_ok and abs(res.energy - e0) < 1e-6
-        evals, evecs = np.linalg.eigh(h_field)
+        evals, evecs = np.linalg.eigh(h_field.dense())
         ground = StateVector(qubits(6), evecs[:, 0])
         cgme_ok = cgme_ok and cgme_pure(ground).value < 0.05
     elapsed = time.perf_counter() - started

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from multisep import manybody
-from multisep.cli import main
+from multisep import ResourceError, manybody
+from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +275,24 @@ class TestUsageErrors:
         (["manybody", "--n", "0", "--lattice", "chain"], "at least one site"),
         (["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
           "--alpha", "nan"], "outside the simplex"),
+        (["unstable", "--gamma1", "nan", "--grid-theta", "2", "--grid-phi", "2"],
+         "decay widths must be finite"),
+        (["unstable", "--alpha1", "inf", "--grid-theta", "2", "--grid-phi", "2"],
+         "angles, time and decay widths must be finite"),
+        (["manybody", "--n", "3", "--kT", "nan", "--restarts", "1"],
+         "temperature kT=nan must be positive"),
+        (["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
+          "--alpha", "0.5", "--tol", "nan"], "--tol must be finite and non-negative"),
+        (["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
+          "--alpha", "0.5", "--tol", "-1"], "--tol must be finite and non-negative"),
+        (["threshold", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
+          "--lo", "0", "--hi", "1", "--threshold-tol", "nan"],
+         "--threshold-tol must be finite and non-negative"),
+        (["unstable", "--t-stop", "inf", "--t-step", "1e308", "--grid-theta", "2",
+          "--grid-phi", "2"], "grid start, stop and step must be finite"),
+        (["scan", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
+          "--start", "0", "--stop", "nan", "--step", "0.5"], "must be finite"),
+        (["manybody", "--n", "3", "--h-start=-inf", "--h-stop", "0"], "must be finite"),
     ])
     def test_domain_error(self, capsys, argv, message):
         assert main(argv) == 2
@@ -359,3 +377,50 @@ class TestManybodyCli:
         assert header == "t,B_minus,B_plus,singlet_value"
         fields = [float(x) for x in row.split(",")]
         assert fields[2] == pytest.approx(2.0, abs=1e-6)
+
+
+def old_grid(start, stop, step):
+    """The grid loop before points were counted first (step > 0 assumed)."""
+    if start > stop:
+        return []
+    values = []
+    x = start
+    i = 0
+    while x <= stop + 1e-12:
+        values.append(min(x, stop))
+        i += 1
+        x = start + i * step
+    return values
+
+
+class TestGrid:
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, 0.1), (0.1, 0.7, 0.2), (-0.0, 0.0, 1.0), (-0.0, 1.0, 0.25),
+        (0.0, 1e-12, 1e-13), (-3.0, 2.0, 0.7), (1e20, 1e20, 1.0), (0.0, 1.0, 1.0 / 3),
+        (0.0, 0.3, 0.1), (2.0, 1.0, 1.0), (1.0, 1.0 + 1e-12, 1e-12), (0.0, 1e308, 1e308),
+    ])
+    def test_points_identical_to_the_loop(self, start, stop, step):
+        ours, old = _grid(start, stop, step), old_grid(start, stop, step)
+        assert list(map(repr, ours)) == list(map(repr, old))
+
+    def test_random_grids_identical_to_the_loop(self, rng):
+        for _ in range(2000):
+            start = float(rng.uniform(-2, 2)) * 10.0 ** rng.integers(-3, 4)
+            step = float(rng.uniform(0.001, 1)) * 10.0 ** rng.integers(-2, 3)
+            stop = start + step * float(rng.uniform(0, 300))
+            assert _grid(start, stop, step) == old_grid(start, stop, step)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, 1e-300), (0.0, 1.0, 1.0 / _MAX_GRID_POINTS), (-1e308, 1e308, 1.0),
+        (1e300, 1e300, 1.0),  # start + i * step stays at start
+    ])
+    def test_too_many_points_is_resource_error(self, start, stop, step):
+        with pytest.raises(ResourceError, match="grid"):
+            _grid(start, stop, step)
+
+    def test_cap_exits_3_before_any_point(self, capsys):
+        argv = ["scan", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
+                "--start", "0", "--stop", "1", "--step", "1e-300"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: grid")

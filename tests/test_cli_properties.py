@@ -4,9 +4,9 @@ Generated invocations of every subcommand, good and bad, must exit with
 0 (success), 2 (usage), 3 (resource cap) or 4 (non-convergence) and
 never raise out of `main` or print a traceback.  Sizes stay tiny (n <= 4,
 grids <= 4 points per axis, rounds <= 50, restarts <= 2) so that no
-example allocates much or runs long.  Paths are templates: {dir} is a
-scratch directory holding the files below, {missing} a directory that
-does not exist.
+example allocates much or runs long.  Every float flag also draws nan,
++-inf and 1e308.  Paths are templates: {dir} is a temporary directory
+holding the files below, {missing} a directory that does not exist.
 """
 
 import contextlib
@@ -30,14 +30,23 @@ EXPECTATION_FILES = ["{dir}/exp.json", "{dir}/bad.json", "{dir}/list.json",
                      "{dir}/binary.json", "{dir}", "{missing}/exp.json"]
 OUTPUTS = [None, "{dir}/out.txt", "{missing}/out.txt", "{dir}"]
 
+# every float flag also draws these
+EXTREMES = ["nan", "inf", "-inf", "1e308"]
+
+
+def floats(*values):
+    return st.sampled_from([*values, *EXTREMES])
+
+
 small_int = st.integers(min_value=-1, max_value=4)
-weight = st.sampled_from(["0", "0.25", "0.5", "1", "-0.5", "1.5", "nan"])
+weight = floats("0", "0.25", "0.5", "1", "-0.5", "1.5")
 probe = st.sampled_from(["000,111", "00,11", "0000,1111", "000,222", "000", "0a0,111"])
 
 
 def flag(name, values):
-    """[] or [name, value] for a drawn value."""
-    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+    """[] or [name=value] for a drawn value (one word, so that argparse
+    takes a value such as -inf as the flag's)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
 
 
 def joined(*parts):
@@ -54,6 +63,7 @@ crit_args = joined(
     st.sampled_from(CRITERIA).map(lambda c: ["--crit", c]),
     flag("--probe", probe), flag("--block", st.sampled_from(["0", "0,1", "5", "1,1"])),
     flag("--k", small_int), flag("--f", small_int),
+    flag("--tol", floats("0", "1e-10", "-1")),
 )
 out_arg = st.sampled_from(OUTPUTS).map(lambda o: [] if o is None else ["--out", o])
 
@@ -83,24 +93,27 @@ measure_cmd = joined(
 scan_cmd = joined(
     st.just(["scan"]), crit_args, family_args,
     flag("--var", st.sampled_from(["alpha", "beta", "p", "n", "foo"])),
-    st.tuples(weight, weight, st.sampled_from(["0.25", "0.5", "1", "0", "-1"])).map(
-        lambda t: ["--start", t[0], "--stop", t[1], "--step", t[2]]),
+    st.tuples(weight, weight, floats("0.25", "0.5", "1", "0", "-1")).map(
+        lambda t: [f"--start={t[0]}", f"--stop={t[1]}", f"--step={t[2]}"]),
     out_arg,
 )
 threshold_cmd = joined(
     st.just(["threshold"]), crit_args, family_args,
     flag("--var", st.sampled_from(["alpha", "beta", "p", "foo"])),
-    st.tuples(weight, weight).map(lambda t: ["--lo", t[0], "--hi", t[1]]),
-    flag("--threshold-tol", st.sampled_from(["0", "1e-300", "1e-3", "-1", "nan"])),
+    st.tuples(weight, weight).map(lambda t: [f"--lo={t[0]}", f"--hi={t[1]}"]),
+    flag("--threshold-tol", floats("0", "1e-300", "1e-3", "-1")),
     out_arg,
 )
 manybody_cmd = joined(
     st.just(["manybody"]),
     flag("--n", small_int), flag("--lattice", st.sampled_from(["chain", "ring"])),
-    flag("--gamma", st.sampled_from(["0", "0.3", "1", "-0.5", "2"])),
-    st.sampled_from([[], ["--h-start", "0", "--h-stop", "1", "--h-step", "0.5"],
-                     ["--h-step", "0"], ["--h-start", "1", "--h-stop", "0"]]),
-    flag("--kT", st.sampled_from(["0.5", "0", "-1", "1e-300"])),
+    flag("--gamma", floats("0", "0.3", "1", "-0.5", "2")),
+    st.one_of(
+        st.sampled_from([[], ["--h-start", "0", "--h-stop", "1", "--h-step", "0.5"],
+                         ["--h-step", "0"], ["--h-start", "1", "--h-stop", "0"]]),
+        joined(flag("--h-start", floats("0", "1")), flag("--h-stop", floats("0", "1")),
+               flag("--h-step", floats("0.5", "0")))),
+    flag("--kT", floats("0.5", "0", "-1", "1e-300")),
     flag("--ks", st.sampled_from(["2", "1,2", "0", "9", "a", ""])),
     flag("--restarts", st.integers(min_value=-1, max_value=2)),
     out_arg,
@@ -108,7 +121,7 @@ manybody_cmd = joined(
 qss_cmd = st.one_of(
     joined(st.just(["qss", "simulate"]),
            flag("--rounds", st.integers(min_value=-5, max_value=50)),
-           flag("--eavesdrop", st.just("")).map(lambda f: f[:1]),
+           st.sampled_from([[], ["--eavesdrop"]]),
            flag("--emit-expectations", st.sampled_from(["{dir}/emitted.json",
                                                         "{missing}/exp.json", "{dir}"])),
            flag("--shots", st.integers(min_value=-1, max_value=20)),
@@ -119,12 +132,12 @@ qss_cmd = st.one_of(
 )
 unstable_cmd = joined(
     st.just(["unstable"]),
-    flag("--gamma1", st.sampled_from(["0", "0.5", "2000", "1e6", "-1"])),
-    flag("--gamma2", st.sampled_from(["0", "3", "1500"])),
-    flag("--alpha1", st.sampled_from(["0", "1.2", "-3"])),
-    flag("--t-start", st.sampled_from(["0", "1", "-1"])),
-    flag("--t-stop", st.sampled_from(["0", "1", "2"])),
-    flag("--t-step", st.sampled_from(["0.5", "1", "0"])),
+    flag("--gamma1", floats("0", "0.5", "2000", "1e6", "-1")),
+    flag("--gamma2", floats("0", "3", "1500")),
+    flag("--alpha1", floats("0", "1.2", "-3")),
+    flag("--t-start", floats("0", "1", "-1")),
+    flag("--t-stop", floats("0", "1", "2")),
+    flag("--t-step", floats("0.5", "1", "0")),
     flag("--grid-theta", small_int), flag("--grid-phi", small_int),
     out_arg,
 )
@@ -178,6 +191,12 @@ def run(argv, files):
 @example(argv=["manybody", "--n", "4", "--restarts", "0"])
 @example(argv=["unstable", "--gamma1", "2000", "--t-start", "1", "--t-stop", "1",
                "--grid-theta", "4", "--grid-phi", "4"])
+@example(argv=["unstable", "--gamma1", "nan", "--grid-theta", "2", "--grid-phi", "2"])
+@example(argv=["manybody", "--n", "3", "--kT", "nan", "--restarts", "1"])
+@example(argv=["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
+               "--alpha", "0.5", "--tol", "nan"])
+@example(argv=["unstable", "--t-stop", "inf", "--t-step", "1e308",
+               "--grid-theta", "2", "--grid-phi", "2"])
 def test_every_invocation_exits_with_a_documented_code(files, argv):
     code, err = run(argv, files)
     assert code in (0, 2, 3, 4), (argv, code, err)

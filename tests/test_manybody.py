@@ -6,18 +6,22 @@ from multisep import (
     DomainError,
     HeisenbergParams,
     Lattice,
+    SpinHamiltonian,
     StateVector,
     entanglement_gaps,
     gap_witness_detects,
     ground_state_dm,
     heisenberg_hamiltonian,
     hermitian_spectrum,
+    iter_k_partitions,
+    kron_all,
     maximally_mixed,
     min_ksep_energy,
     partition_function,
     qubits,
     thermal_state,
 )
+from multisep import manybody
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -121,31 +125,164 @@ class TestThermal:
         assert energy == pytest.approx(evals[0], abs=1e-9)
 
 
+# the couplings test_manybody_equivalence.py builds Hamiltonians with
+PARAMS = [
+    HeisenbergParams(),
+    HeisenbergParams.from_gamma(0.3, h=0.7),
+    HeisenbergParams.from_gamma(1.0, h=-0.25),
+    HeisenbergParams(0.3, -1.1, 0.25, -2.0),
+    HeisenbergParams(0.0, 0.0, 0.0, 0.7),
+    HeisenbergParams(0.0, 1.0, 0.0, 0.0),
+]
+
+
+def _lattices(n):
+    out = [Lattice.chain(n)] + ([Lattice.ring(n)] if n >= 3 else [])
+    out.append(Lattice(n, [(0, n - 1)] + [(i, i + 1) for i in range(0, n - 2, 2)]))
+    return out
+
+
+class TestSpinHamiltonian:
+    def test_shape_and_cached_dense(self):
+        lattice, params = Lattice.ring(4), HeisenbergParams.from_gamma(0.3, h=0.2)
+        ham = SpinHamiltonian(lattice, params)
+        assert ham.n == 4 and ham.shape == (16, 16)
+        assert ham.dense() is ham.dense()
+        assert np.array_equal(ham.dense(), heisenberg_hamiltonian(lattice, params))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_block_is_the_reordered_sub_lattice(self, n):
+        for lattice in _lattices(n):
+            for params in PARAMS:
+                ham = SpinHamiltonian(lattice, params)
+                assert np.array_equal(ham.block(range(n)), ham.dense())
+                # reversed order: site n-1 is the most significant bit
+                flipped = ham.dense().reshape((2,) * 2 * n)
+                axes = list(range(n))[::-1]
+                flipped = flipped.transpose(axes + [n + a for a in axes]).reshape(ham.shape)
+                assert np.max(np.abs(ham.block(range(n - 1, -1, -1)) - flipped)) < 1e-14
+                assert ham.block([n - 1]).shape == (2, 2)
+
+    def test_bad_block(self):
+        ham = SpinHamiltonian(Lattice.chain(3), HeisenbergParams())
+        for sites in ([0, 0], [3], [-1]):
+            with pytest.raises(DomainError, match="not a set of sites"):
+                ham.block(sites)
+
+
+def _product_state(blocks, states, n):
+    """The n-qubit vector of block states, in site order 0..n-1."""
+    order = [q for block in blocks for q in block]
+    vec = kron_all([s.reshape(-1, 1) for s in states]).reshape((2,) * n)
+    return vec.transpose(np.argsort(order)).reshape(-1)
+
+
+def _bloch(state):
+    """<sigma_a> per site of a block state, with the optimiser's Paulis."""
+    paulis = manybody._site_paulis(state.size.bit_length() - 1)
+    d = state.size
+    return np.array([np.vdot(state, p.reshape(d, d) @ state).real
+                     for p in paulis]).reshape(-1, 3)
+
+
+def _dense_contraction(h_mat, blocks, states, j, n):
+    """<rest|H|rest> for block j: H in the order block j + the rest, then
+    contracted with the other blocks' states (the former optimiser)."""
+    order = list(blocks[j]) + [q for i, b in enumerate(blocks) if i != j for q in b]
+    da, dr = 2 ** len(blocks[j]), 2 ** (n - len(blocks[j]))
+    h_t = h_mat.reshape((2,) * 2 * n).transpose(order + [n + q for q in order])
+    rest = kron_all([np.ones((1, 1))] + [s.reshape(-1, 1) for i, s in enumerate(states)
+                                          if i != j]).reshape(-1)
+    return np.einsum("arbs,r,s->ab", h_t.reshape(da, dr, da, dr), rest.conj(), rest)
+
+
+class TestMeanField:
+    """A product state's energy is sum_B <H_B> plus the Bloch-vector sum
+    over the edges between blocks, and block A's mean-field Hamiltonian
+    H_A + sum_{i in A} f_i . sigma^i is the dense contraction of H with
+    the other blocks' states up to a constant."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_energy_and_effective_hamiltonian(self, n):
+        rng = np.random.default_rng(n)
+        for lattice in _lattices(n):
+            for params in PARAMS:
+                ham = SpinHamiltonian(lattice, params)
+                coupling = 0.5 * np.array([params.jx, params.jy, params.jz])
+                for _ in range(3):
+                    k = int(rng.integers(1, n + 1))
+                    parts = list(iter_k_partitions(n, k))
+                    blocks = parts[rng.integers(len(parts))].blocks
+                    states = []
+                    for block in blocks:
+                        v = rng.standard_normal(2 ** len(block)) * (1 + 0j)
+                        v += 1j * rng.standard_normal(v.size)
+                        states.append(v / np.linalg.norm(v))
+                    bloch = np.zeros((n, 3))
+                    for block, state in zip(blocks, states):
+                        bloch[list(block)] = _bloch(state)
+                    block_of = {q: b for b, block in enumerate(blocks) for q in block}
+                    between = [(i, l) for i, l in lattice.edges if block_of[i] != block_of[l]]
+
+                    psi = _product_state(blocks, states, n)
+                    energy = sum(np.vdot(s, ham.block(b) @ s).real for b, s in zip(blocks, states))
+                    energy += sum(coupling @ (bloch[i] * bloch[l]) for i, l in between)
+                    assert abs(energy - np.vdot(psi, ham.dense() @ psi).real) < 1e-12
+
+                    for j, block in enumerate(blocks):
+                        d = 2 ** len(block)
+                        field = np.zeros((len(block), 3))
+                        for i, l in between:
+                            for a, b in ((i, l), (l, i)):
+                                if block_of[a] == j:
+                                    field[block.index(a)] += coupling * bloch[b]
+                        heff = ham.block(block) + (
+                            field.reshape(-1) @ manybody._site_paulis(len(block))).reshape(d, d)
+                        diff = heff - _dense_contraction(ham.dense(), blocks, states, j, n)
+                        shift = np.trace(diff).real / d
+                        assert np.max(np.abs(diff - shift * np.eye(d))) < 1e-12
+
+
 class TestMinKsepEnergy:
+    def test_never_builds_the_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.3, h=0.2))
+        monkeypatch.setattr(SpinHamiltonian, "dense", refuse)
+        for k in range(2, 7):
+            assert np.isfinite(min_ksep_energy(ham, k, restarts=2, seed=0).energy)
+
+    def test_dense_matrix_is_refused(self):
+        h_mat = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams())
+        with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
+            min_ksep_energy(h_mat, 2)
+        with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
+            entanglement_gaps(h_mat)
+
     def test_diagonal_hamiltonian_exact(self):
         # all-J=0 field Hamiltonian is diagonal in the product basis, so the
         # full product ansatz reaches the exact minimum
-        h = heisenberg_hamiltonian(Lattice.chain(3), HeisenbergParams(0, 0, 0, h=0.9))
+        h = SpinHamiltonian(Lattice.chain(3), HeisenbergParams(0, 0, 0, h=0.9))
         res = min_ksep_energy(h, 3, restarts=4, seed=0)
-        assert res.energy == pytest.approx(float(hermitian_spectrum(h)[0]), abs=1e-9)
+        assert res.energy == pytest.approx(float(hermitian_spectrum(h.dense())[0]), abs=1e-9)
         assert res.converged
 
     def test_e2sep_at_least_ground(self, rng):
-        h = heisenberg_hamiltonian(Lattice.ring(4),
-                                   HeisenbergParams.from_gamma(0.4, h=0.2))
-        e0 = float(hermitian_spectrum(h)[0])
+        h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.4, h=0.2))
+        e0 = float(hermitian_spectrum(h.dense())[0])
         res = min_ksep_energy(h, 2, restarts=8, seed=0)
         assert res.energy >= e0 - 1e-9
 
     def test_k1_is_exact_ground(self):
-        h = heisenberg_hamiltonian(Lattice.chain(3), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.chain(3), HeisenbergParams.from_gamma(0.0))
         assert min_ksep_energy(h, 1).energy == pytest.approx(
-            float(hermitian_spectrum(h)[0]))
+            float(hermitian_spectrum(h.dense())[0]))
 
     def test_full_product_matches_bloch_grid(self):
         # independent oracle: coarse Bloch-angle grid plus Nelder-Mead polish
         # over all four qubits at once
-        h = heisenberg_hamiltonian(Lattice.chain(4), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.chain(4), HeisenbergParams.from_gamma(0.0))
 
         def product_energy(angles):
             vec = np.array([1.0 + 0j])
@@ -153,7 +290,7 @@ class TestMinKsepEnergy:
                 q = np.array([np.cos(theta / 2),
                               np.exp(1j * phi) * np.sin(theta / 2)])
                 vec = np.kron(vec, q)
-            return float(np.real(vec.conj() @ (h @ vec)))
+            return float(np.real(vec.conj() @ (h.dense() @ vec)))
 
         best = np.inf
         best_x = None
@@ -171,12 +308,12 @@ class TestMinKsepEnergy:
         assert ours.energy == pytest.approx(best, abs=1e-4)
 
     def test_k_domain(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams())
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams())
         with pytest.raises(DomainError):
             min_ksep_energy(h, 3)
 
     def test_restarts_domain(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams())
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams())
         for restarts in (0, -1):
             with pytest.raises(DomainError, match="restarts must be at least 1"):
                 min_ksep_energy(h, 2, restarts=restarts)
@@ -185,8 +322,7 @@ class TestMinKsepEnergy:
 class TestGapChain:
     def test_ordering_ring4(self):
         for h in (0.0, 1.0):
-            hm = heisenberg_hamiltonian(Lattice.ring(4),
-                                        HeisenbergParams.from_gamma(0.0, h=h))
+            hm = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0, h=h))
             report = entanglement_gaps(hm, restarts=8, seed=0)
             chain = [report.e0] + [report.energies[k] for k in range(2, 5)]
             assert all(a <= b + 2e-6 for a, b in zip(chain, chain[1:]))
@@ -202,28 +338,27 @@ class TestGapChain:
 
 class TestGapWitness:
     def test_ground_state_detected(self):
-        h = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
         assert report.gap(2) > 1e-3
-        assert gap_witness_detects(ground_state_dm(h), report, 2)
+        assert gap_witness_detects(ground_state_dm(h.dense()), report, 2)
 
     def test_hot_thermal_not_detected(self):
-        h = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
-        rho = thermal_state(h, 1e6)
+        rho = thermal_state(h.dense(), 1e6)
         assert not gap_witness_detects(rho, report, 2)
 
     def test_strong_field_closes_gap(self):
-        h = heisenberg_hamiltonian(Lattice.ring(4),
-                                   HeisenbergParams.from_gamma(0.0, h=3.0))
-        e0 = float(hermitian_spectrum(h)[0])
+        h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0, h=3.0))
+        e0 = float(hermitian_spectrum(h.dense())[0])
         res = min_ksep_energy(h, 2, restarts=8, seed=0, lower_bound=e0)
         assert res.energy - e0 < 1e-6
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
-        assert not gap_witness_detects(ground_state_dm(h), report, 2)
+        assert not gap_witness_detects(ground_state_dm(h.dense()), report, 2)
 
     def test_shape_mismatch(self):
-        h = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
         report = entanglement_gaps(h, ks=[2], restarts=2, seed=0)
         with pytest.raises(DomainError):
             gap_witness_detects(maximally_mixed(qubits(3)), report, 2)

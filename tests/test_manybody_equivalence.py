@@ -18,6 +18,7 @@ import pytest
 from multisep import (
     HeisenbergParams,
     Lattice,
+    SpinHamiltonian,
     SystemShape,
     heisenberg_hamiltonian,
     hermitian_spectrum,
@@ -140,12 +141,12 @@ FIELDS = {
 
 
 def _hamiltonian(lattice, n, field):
-    return heisenberg_hamiltonian(LATTICES[lattice](n), FIELDS[field])
+    return SpinHamiltonian(LATTICES[lattice](n), FIELDS[field])
 
 
-def _agree(h_mat, k, **kwargs):
-    ours = min_ksep_energy(h_mat, k, **kwargs)
-    energy, converged = oracle_min_ksep_energy(h_mat, k, **kwargs)
+def _agree(ham, k, **kwargs):
+    ours = min_ksep_energy(ham, k, **kwargs)
+    energy, converged = oracle_min_ksep_energy(ham.dense(), k, **kwargs)
     assert abs(ours.energy - energy) <= TOL, (k, kwargs, ours.energy, energy)
     assert ours.converged == converged, (k, kwargs)
     return ours
@@ -163,17 +164,16 @@ GRID += [("ring", 6, "isotropic", (0,)), ("chain", 6, "anisotropic-field", (0,))
 @pytest.mark.parametrize("lattice,n,field,seeds", GRID,
                          ids=["-".join(map(str, case[:3])) for case in GRID])
 def test_every_k_seed_and_restart_count(lattice, n, field, seeds):
-    h_mat = _hamiltonian(lattice, n, field)
+    ham = _hamiltonian(lattice, n, field)
     for k in range(1 if n < 6 else 2, n + 1):
         for seed in seeds:
             for restarts in (1, 3):
-                _agree(h_mat, k, restarts=restarts, seed=seed)
+                _agree(ham, k, restarts=restarts, seed=seed)
 
 
 def _budget(n, sizes, restarts, partitions):
     """A byte budget that holds this many partitions of the given sizes."""
-    dim = 2 ** n
-    return partitions * 16 * dim * (len(sizes) * dim + restarts * 2 ** max(sizes))
+    return partitions * 16 * sum(4 ** s for s in sizes) * (1 + restarts)
 
 
 @pytest.mark.parametrize("budget", ["one", "few"])
@@ -187,12 +187,12 @@ def test_lower_bound_exit(budget, monkeypatch):
         monkeypatch.setattr(manybody, "_CHUNK_BYTES", 1)
     else:
         monkeypatch.setattr(manybody, "_CHUNK_BYTES", _budget(n, (3, 2), 3, 3))
-    h_field = heisenberg_hamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(0.0, h=3.0))
-    e0 = float(hermitian_spectrum(h_field)[0])
+    h_field = SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(0.0, h=3.0))
+    e0 = float(hermitian_spectrum(h_field.dense())[0])
     for k in (2, 3):
         ours = _agree(h_field, k, restarts=3, seed=1, lower_bound=e0)
         assert ours.energy - e0 < 1e-6
-    h_mat = heisenberg_hamiltonian(Lattice.chain(n), HeisenbergParams.from_gamma(0.3, h=0.2))
+    h_mat = SpinHamiltonian(Lattice.chain(n), HeisenbergParams.from_gamma(0.3, h=0.2))
     for k in (2, 3):
         unbounded = min_ksep_energy(h_mat, k, restarts=3, seed=2).energy
         _agree(h_mat, k, restarts=3, seed=2, lower_bound=unbounded)
@@ -200,7 +200,7 @@ def test_lower_bound_exit(budget, monkeypatch):
 
 
 def test_max_iter_cut_names_every_partition():
-    h_mat = heisenberg_hamiltonian(Lattice.ring(5), HeisenbergParams.from_gamma(0.0))
+    h_mat = SpinHamiltonian(Lattice.ring(5), HeisenbergParams.from_gamma(0.0))
     for k in (2, 3, 4):
         ours = _agree(h_mat, k, restarts=3, seed=0, max_iter=1)
         assert ours.nonconverged == tuple(iter_k_partitions(5, k))
