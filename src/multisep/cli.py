@@ -301,12 +301,12 @@ def cmd_manybody(args):
                 warnings.append(
                     f"warning: product-state minimisation for k={k} at h={_fmt(float(h))} "
                     f"did not converge in partitions {' '.join(map(str, parts))}")
-        rho, ground = manybody._state_and_ground(ham.dense(), args.kT)
+        rho = manybody.thermal_state(ham, args.kT)
         detected = 0
         for k in sorted(ks):
             if manybody.gap_witness_detects(rho, report, k):
                 detected = k
-        cgme = measures.cgme_pure(ground).value
+        cgme = measures.cgme_pure(StateVector(rho.shape, ham.spectrum()[1][:, 0])).value
         row = [h, args.gamma, args.kT if args.kT is not None else 0.0, report.e0]
         row += [report.energies[k] for k in ks]
         row += [detected, cgme]
@@ -348,7 +348,8 @@ def cmd_qss(args):
         _write_lines([json.dumps(summary)], args.out)
         return 0
     if args.qss_cmd == "verify":
-        report = qss_verification_value(_load_expectations(args.expectations))
+        _check_tolerance("--tol", args.tol)
+        report = qss_verification_value(_load_expectations(args.expectations), tol=args.tol)
         _write_lines([report.to_json()], args.out)
         return 0
     raise DomainError("qss needs a subcommand: simulate or verify")
@@ -482,7 +483,6 @@ def build_parser():
     p.set_defaults(func=cmd_manybody)
 
     p = sub.add_parser("qss", help="quantum secret sharing simulation/verification")
-    _add_common(p)
     qss_sub = p.add_subparsers(dest="qss_cmd", required=True)
     ps = qss_sub.add_parser("simulate")
     _add_common(ps)

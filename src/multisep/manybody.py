@@ -4,13 +4,13 @@ The Hamiltonian of a set of spin-1/2 sites with nearest-neighbour
 couplings is used as its own entanglement witness: every k-separable
 state has energy at least E_ksep, so any state with energy below that
 bound is certified k-inseparable (the k = 2 interval is the GME gap).
-A SpinHamiltonian holds the lattice and couplings; its dense matrix
-serves E_0 and the Gibbs state, and the small Hamiltonians of site
-blocks serve E_ksep.  E_ksep is computed by constrained minimisation
-over product states of each canonical k-partition: alternating exact
-block ground-state updates, each block's Hamiltonian plus the mean
-field of its neighbours' Bloch vectors, which decrease the energy
-monotonically, restarted from seeded random product states.
+A SpinHamiltonian holds the lattice and couplings; one cached
+eigendecomposition of its dense matrix gives E_0, Z and the Gibbs and
+ground states, and small site-block Hamiltonians give E_ksep: the
+least energy over product states of each canonical k-partition, found
+by alternating exact block ground-state updates (each block's
+Hamiltonian plus the mean field of its neighbours' Bloch vectors, so
+the energy decreases monotonically) from seeded random product states.
 Partitions with the same ordered block sizes are swept together as one
 batch.  The result is therefore an upper bound on the true constrained
 minimum; detection keeps a slack margin in the conservative direction.
@@ -26,9 +26,12 @@ import numpy as np
 from .applications import PAULI
 from .errors import DomainError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, StateVector, hermitian_spectrum, kron_all, qubits
+from .tensor import DensityMatrix, _check_dense_dim, kron_all, qubits
+# hermitian_spectrum is not called here; perfbench/tracer.py wraps it on this module.
+from .tensor import hermitian_spectrum  # noqa: F401
 
 DEFAULT_OPT_SLACK = 1e-6
+_DEGENERACY_TOL = 1e-9  # eigenvalues within this of E_0 span the ground manifold
 
 # Bytes of block and effective Hamiltonians one batch of partitions may
 # hold; a partition that alone needs more runs by itself.
@@ -95,17 +98,18 @@ def _site_bits(n):
     return (x[:, None] >> (n - 1 - np.arange(n))) & 1
 
 
-def heisenberg_hamiltonian(lattice, params, max_n=14):
+def heisenberg_hamiltonian(lattice, params):
     """Dense spin-1/2 Hamiltonian
     H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i.
 
     Built bitwise in the computational basis: ZZ and the field sit on
     the diagonal, and XX + YY flips bits i and j of |x> with amplitude
     (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1.
+    2^n is checked before allocating against the package's one dense
+    cap, tensor.DEFAULT_MAX_DENSE_DIM = 2^14 (ResourceError above n = 14).
     """
     n = lattice.n
-    if n > max_n:
-        raise DomainError(f"dense Hamiltonian for n={n} sites exceeds the cap n={max_n}")
+    _check_dense_dim(2 ** n, None)
     dim = 2 ** n
     x = np.arange(dim)
     z = 1.0 - 2.0 * _site_bits(n)
@@ -125,8 +129,8 @@ def heisenberg_hamiltonian(lattice, params, max_n=14):
 @dataclass(frozen=True)
 class SpinHamiltonian:
     """heisenberg_hamiltonian(lattice, params) kept as its lattice and
-    couplings.  The dense matrix and the Hamiltonians of site blocks are
-    built by heisenberg_hamiltonian on first use and cached."""
+    couplings.  Its dense matrix and site-block Hamiltonians (built by
+    heisenberg_hamiltonian) and its spectrum are cached on first use."""
 
     lattice: Lattice
     params: HeisenbergParams
@@ -146,70 +150,67 @@ class SpinHamiltonian:
 
     def block(self, sites):
         """H_A of the sites A in the order given (the first most
-        significant): the edges inside A and the field on A."""
+        significant): the edges inside A and the field on A.  Blocks with
+        the same relabelled sub-lattice share one build."""
         sites = tuple(int(q) for q in sites)
-        if sites not in self._built:
-            if len(set(sites)) != len(sites) or not all(0 <= q < self.n for q in sites):
-                raise DomainError(f"block {sites} is not a set of sites of n={self.n}")
-            pos = {q: i for i, q in enumerate(sites)}
-            edges = [(pos[i], pos[j]) for i, j in self.lattice.edges if i in pos and j in pos]
-            mat = heisenberg_hamiltonian(Lattice(len(sites), edges), self.params)
+        if len(set(sites)) != len(sites) or not all(0 <= q < self.n for q in sites):
+            raise DomainError(f"block {sites} is not a set of sites of n={self.n}")
+        pos = {q: i for i, q in enumerate(sites)}
+        sub = Lattice(len(sites), [(pos[i], pos[j]) for i, j in self.lattice.edges
+                                   if i in pos and j in pos])
+        if sub not in self._built:
+            mat = heisenberg_hamiltonian(sub, self.params)
             mat.flags.writeable = False  # shared by every caller
-            self._built[sites] = mat
-        return self._built[sites]
+            self._built[sub] = mat
+        return self._built[sub]
+
+    def spectrum(self):
+        """Ascending eigenvalues and the eigenvector columns of the dense
+        matrix, from one np.linalg.eigh, cached read-only: 16 * 4^n bytes
+        beside dense() (4 GiB at n = 14) while `self` lives, even for E_0 alone."""
+        if "spectrum" not in self._built:
+            evals, evecs = np.linalg.eigh(self.dense())
+            evals.flags.writeable = evecs.flags.writeable = False  # shared by every caller
+            self._built["spectrum"] = evals, evecs
+        return self._built["spectrum"]
 
 
 def _spin_count(ham):
     if not isinstance(ham, SpinHamiltonian):
-        raise DomainError("the product-state search takes a SpinHamiltonian(lattice, params), "
-                          f"not {type(ham).__name__}")
+        raise DomainError(f"expected a SpinHamiltonian(lattice, params), not {type(ham).__name__}")
     return ham.n
 
 
-def _qubit_count(h_mat):
-    dim = h_mat.shape[0]
-    n = dim.bit_length() - 1
-    if h_mat.ndim != 2 or h_mat.shape[0] != h_mat.shape[1] or 2 ** n != dim:
-        raise DomainError("expected a square matrix on a qubit register")
-    return n
-
-
-def partition_function(h_mat, kT):
-    """Z = sum_i exp(-E_i / kT)."""
+def partition_function(ham, kT):
+    """Z = sum_i exp(-E_i / kT) of the SpinHamiltonian `ham`."""
+    _spin_count(ham)
     if not kT > 0:
         raise DomainError(f"temperature kT={kT} must be positive")
-    energies = hermitian_spectrum(h_mat)
+    energies = ham.spectrum()[0]
     return float(np.sum(np.exp(-(energies - energies[0]) / kT)) * np.exp(-energies[0] / kT))
 
 
-def _state_and_ground(h_mat, kT=None, degeneracy_tol=1e-9):
-    """The Gibbs state exp(-H/kT)/Z and a ground-state vector, from one
-    eigendecomposition of H.  kT None gives the equal mixture over the
-    (possibly degenerate) ground manifold, the kT -> 0+ limit."""
+def thermal_state(ham, kT):
+    """Gibbs state exp(-H/kT)/Z of the SpinHamiltonian `ham`; kT None
+    gives the kT -> 0+ limit, the equal mixture over the (possibly
+    degenerate) ground manifold, eigenvalues within _DEGENERACY_TOL of E_0."""
+    n = _spin_count(ham)
     if kT is not None and not kT > 0:  # NaN fails too
         raise DomainError(f"temperature kT={kT} must be positive")
-    n = _qubit_count(h_mat)
-    evals, evecs = np.linalg.eigh(h_mat)
+    evals, evecs = ham.spectrum()
     if kT is None:
-        vecs = evecs[:, evals <= evals[0] + degeneracy_tol]
+        vecs = evecs[:, evals <= evals[0] + _DEGENERACY_TOL]
         mat = vecs @ vecs.conj().T / vecs.shape[1]
     else:
         weights = np.exp(-(evals - evals[0]) / kT)
         weights /= weights.sum()
         mat = (evecs * weights) @ evecs.conj().T
-    return (DensityMatrix(qubits(n), mat, validate=False),
-            StateVector(qubits(n), evecs[:, 0]))
+    return DensityMatrix(qubits(n), mat, validate=False)
 
 
-def thermal_state(h_mat, kT):
-    """Gibbs state exp(-H/kT)/Z via eigendecomposition."""
-    return _state_and_ground(h_mat, kT)[0]
-
-
-def ground_state_dm(h_mat, degeneracy_tol=1e-9):
-    """Equal mixture over the (possibly degenerate) ground manifold,
-    i.e. the kT -> 0+ limit of the thermal state."""
-    return _state_and_ground(h_mat, None, degeneracy_tol)[0]
+def ground_state_dm(ham):
+    """The kT -> 0+ limit of thermal_state, the ground-manifold mixture."""
+    return thermal_state(ham, None)
 
 
 @dataclass(frozen=True)
@@ -239,9 +240,9 @@ def _site_paulis(size):
     return out
 
 
-def _chunk_len(n, sizes, restarts):
-    """Partitions with these block sizes (n sites in all) that fit one
-    batch in _CHUNK_BYTES: each block's Hamiltonian plus its effective
+def _chunk_len(sizes, restarts):
+    """Partitions with these block sizes that fit one batch in
+    _CHUNK_BYTES: each block's Hamiltonian plus its effective
     Hamiltonians over the restarts."""
     per_partition = 16 * sum(4 ** s for s in sizes) * (1 + restarts)
     return max(1, _CHUNK_BYTES // per_partition)
@@ -330,7 +331,7 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     neighbours' Bloch vectors (see _sweep_batch); each update can only
     lower the energy, so every restart converges in energy.  Only block
     Hamiltonians are built, never the 2^n x 2^n matrix, except for k = 1,
-    the unconstrained ground energy.
+    the unconstrained ground energy, read from ham.spectrum().
 
     Partitions with the same ordered block sizes (every (4, 2)
     bipartition, say) are swept as one batch, all restarts together,
@@ -352,7 +353,7 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts}")
     if k == 1:
-        return ProductMinimum(float(hermitian_spectrum(ham.dense())[0]))
+        return ProductMinimum(float(ham.spectrum()[0][0]))
 
     rng = np.random.default_rng(seed)
     floor = -np.inf if lower_bound is None else lower_bound + tol
@@ -392,7 +393,7 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
         sizes = tuple(len(b) for b in part.blocks)
         batch = pending.setdefault(sizes, [])
         batch.append((index, part, starts))
-        if len(batch) >= _chunk_len(n, sizes, restarts):
+        if len(batch) >= _chunk_len(sizes, restarts):
             del pending[sizes]
             if run(batch):
                 return ProductMinimum(best, tuple(nonconverged))
@@ -425,9 +426,10 @@ class GapReport:
 def entanglement_gaps(ham, ks=None, restarts=32, tol=1e-10, seed=0,
                       slack=DEFAULT_OPT_SLACK):
     """E_ksep of the SpinHamiltonian `ham` for every requested k (default
-    2..n) plus the exact E_0 of its dense matrix."""
+    2..n) plus the exact E_0 of ham.spectrum(), whose cached eigenvectors
+    report.hamiltonian keeps alive."""
     n = _spin_count(ham)
-    e0 = float(hermitian_spectrum(ham.dense())[0])
+    e0 = float(ham.spectrum()[0][0])
     report = GapReport(hamiltonian=ham, e0=e0, slack=slack)
     for k in ks if ks is not None else range(2, n + 1):
         res = min_ksep_energy(

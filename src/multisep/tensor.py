@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 # Hermiticity / trace / positivity validation tolerance for states.
 STATE_TOL = 1e-9
@@ -120,7 +120,7 @@ def qudits(n, d):
 def _check_dense_dim(total, max_dim):
     cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
     if total > cap:
-        raise DomainError(
+        raise ResourceError(
             f"dense representation of dimension {total} exceeds the cap {cap}; "
             "use an element provider instead"
         )

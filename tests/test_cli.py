@@ -159,7 +159,7 @@ class TestExitCodes:
         # 4^8 = 65536 > 2^14: refused before a 64 GiB matrix is allocated
         code = main(["crit", "--crit", "ppt", "--family", "ghz-iso", "--n", "8",
                      "--d", "4", "--alpha", "0.5"])
-        assert code == 2
+        assert code == 3
         assert "exceeds the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
@@ -171,7 +171,7 @@ class TestExitCodes:
     def test_max_dim_caps_family_states(self, capsys, command):
         # ghz-iso at n = d = 4 has dimension 256
         argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
-        assert main(argv + ["--max-dim", "100"]) == 2
+        assert main(argv + ["--max-dim", "100"]) == 3
         assert "dimension 256 exceeds the cap 100" in capsys.readouterr().err
         if command[0] == "crit":
             assert main(argv + ["--max-dim", "256"]) == 0
@@ -205,6 +205,25 @@ class TestQssCli:
                 "--eavesdrop", "--emit-expectations", str(exp_path))
         code, out = run_cli(capsys, "qss", "verify", "--expectations", str(exp_path))
         assert json.loads(out)["violated"] is False
+
+    def test_verify_reads_tol(self, tmp_path, capsys):
+        exp_path = tmp_path / "expectations.json"
+        run_cli(capsys, "qss", "simulate", "--rounds", "10", "--emit-expectations",
+                str(exp_path))
+        code, out = run_cli(capsys, "qss", "verify", "--expectations", str(exp_path),
+                            "--tol", "0.9")
+        assert code == 0
+        report = json.loads(out)
+        assert report["value"] == pytest.approx(0.5)
+        assert report["violated"] is False
+        assert main(["qss", "verify", "--expectations", str(exp_path), "--tol", "nan"]) == 2
+        assert "--tol must be finite and non-negative" in capsys.readouterr().err
+
+    def test_flags_before_the_subcommand_are_usage_errors(self, capsys):
+        # the qss parser itself takes no flags, so none can be silently dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["qss", "--seed", "5", "simulate"])
+        assert exc.value.code == 2
 
     def test_deterministic(self, capsys):
         argv = ["qss", "simulate", "--rounds", "300", "--seed", "4"]
@@ -344,16 +363,22 @@ class TestManybodyCli:
 
     @pytest.mark.parametrize("kT", [[], ["--kT", "0.5"]])
     def test_one_eigh_of_the_hamiltonian_per_field_value(self, capsys, monkeypatch, kT):
-        eigh, shapes = np.linalg.eigh, []
+        shapes = {"eigh": [], "eigvalsh": []}
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            solver = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+            def wrapper(a, *args, **kwargs):
+                shapes[name].append(np.shape(a))
+                return solver(a, *args, **kwargs)
+            return wrapper
+
+        for name in shapes:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         assert main(["manybody", "--n", "4", "--h-start", "0", "--h-stop", "1",
                      "--h-step", "0.5", "--restarts", "1", *kT]) == 0
-        assert shapes.count((16, 16)) == 3
+        assert shapes["eigh"].count((16, 16)) == 3
+        assert shapes["eigvalsh"] == []
 
     def test_wide_decay_width_gives_numbers(self, capsys):
         code, out = run_cli(capsys, "unstable", "--gamma1", "2000", "--t-start", "1",

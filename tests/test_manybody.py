@@ -6,6 +6,7 @@ from multisep import (
     DomainError,
     HeisenbergParams,
     Lattice,
+    ResourceError,
     SpinHamiltonian,
     StateVector,
     entanglement_gaps,
@@ -87,41 +88,40 @@ class TestHamiltonian:
         assert np.sum(evals < evals[0] + 1e-9) >= 2
 
     def test_dimension_cap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ResourceError):
             heisenberg_hamiltonian(Lattice.chain(15), HeisenbergParams())
 
 
 class TestThermal:
     def test_infinite_temperature_limit(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams.from_gamma(0.0))
         rho = thermal_state(h, 1e6)
         assert np.max(np.abs(rho.mat - np.eye(4) / 4)) < 1e-4
 
     def test_zero_temperature_limit(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2),
-                                   HeisenbergParams.from_gamma(0.0, h=0.1))
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams.from_gamma(0.0, h=0.1))
         rho = thermal_state(h, 1e-4)
-        evals, evecs = np.linalg.eigh(h)
+        evals, evecs = np.linalg.eigh(h.dense())
         ground = np.outer(evecs[:, 0], evecs[:, 0].conj())
         assert np.max(np.abs(rho.mat - ground)) < 1e-9
 
     def test_partition_function_definition(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams.from_gamma(0.3))
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams.from_gamma(0.3))
         kT = 0.8
-        direct = sum(np.exp(-e / kT) for e in hermitian_spectrum(h))
+        direct = sum(np.exp(-e / kT) for e in hermitian_spectrum(h.dense()))
         assert partition_function(h, kT) == pytest.approx(direct)
 
     def test_temperature_domain(self):
-        h = heisenberg_hamiltonian(Lattice.chain(2), HeisenbergParams())
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams())
         with pytest.raises(DomainError):
             thermal_state(h, 0.0)
 
     def test_ground_manifold_mixture(self):
-        h = heisenberg_hamiltonian(Lattice.ring(3), HeisenbergParams.from_gamma(0.0))
+        h = SpinHamiltonian(Lattice.ring(3), HeisenbergParams.from_gamma(0.0))
         rho = ground_state_dm(h)
         assert np.trace(rho.mat).real == pytest.approx(1.0)
-        evals = hermitian_spectrum(h)
-        energy = np.trace(rho.mat @ h).real
+        evals = hermitian_spectrum(h.dense())
+        energy = np.trace(rho.mat @ h.dense()).real
         assert energy == pytest.approx(evals[0], abs=1e-9)
 
 
@@ -162,6 +162,29 @@ class TestSpinHamiltonian:
                 flipped = flipped.transpose(axes + [n + a for a in axes]).reshape(ham.shape)
                 assert np.max(np.abs(ham.block(range(n - 1, -1, -1)) - flipped)) < 1e-14
                 assert ham.block([n - 1]).shape == (2, 2)
+
+    def test_equal_sub_lattices_share_one_build(self, monkeypatch):
+        built, build = [], manybody.heisenberg_hamiltonian
+
+        def counting(lattice, params):
+            built.append(lattice)
+            return build(lattice, params)
+
+        monkeypatch.setattr(manybody, "heisenberg_hamiltonian", counting)
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.3, h=0.2))
+        assert ham.block((0,)) is ham.block((3,))
+        assert ham.block((0, 1, 2)) is ham.block((2, 3, 4))
+        assert ham.block((0, 4, 5)) is not ham.block((0, 1, 2))
+        assert built == [Lattice(1, []), Lattice.chain(3), Lattice(3, [(1, 2), (0, 2)])]
+
+    def test_one_cached_spectrum(self):
+        ham = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.3, h=0.2))
+        evals, evecs = ham.spectrum()
+        assert ham.spectrum() is ham.spectrum()
+        assert not evals.flags.writeable and not evecs.flags.writeable
+        assert np.max(np.abs((evecs * evals) @ evecs.conj().T - ham.dense())) < 1e-12
+        report = entanglement_gaps(ham, ks=[1])
+        assert report.e0 == report.energies[1] == min_ksep_energy(ham, 1).energy == evals[0]
 
     def test_bad_block(self):
         ham = SpinHamiltonian(Lattice.chain(3), HeisenbergParams())
@@ -255,10 +278,11 @@ class TestMinKsepEnergy:
 
     def test_dense_matrix_is_refused(self):
         h_mat = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams())
-        with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
-            min_ksep_energy(h_mat, 2)
-        with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
-            entanglement_gaps(h_mat)
+        for call in (lambda h: min_ksep_energy(h, 2), entanglement_gaps,
+                     lambda h: thermal_state(h, 0.5), ground_state_dm,
+                     lambda h: partition_function(h, 0.5)):
+            with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
+                call(h_mat)
 
     def test_diagonal_hamiltonian_exact(self):
         # all-J=0 field Hamiltonian is diagonal in the product basis, so the
@@ -341,12 +365,12 @@ class TestGapWitness:
         h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
         assert report.gap(2) > 1e-3
-        assert gap_witness_detects(ground_state_dm(h.dense()), report, 2)
+        assert gap_witness_detects(ground_state_dm(h), report, 2)
 
     def test_hot_thermal_not_detected(self):
         h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
-        rho = thermal_state(h.dense(), 1e6)
+        rho = thermal_state(h, 1e6)
         assert not gap_witness_detects(rho, report, 2)
 
     def test_strong_field_closes_gap(self):
@@ -355,7 +379,7 @@ class TestGapWitness:
         res = min_ksep_energy(h, 2, restarts=8, seed=0, lower_bound=e0)
         assert res.energy - e0 < 1e-6
         report = entanglement_gaps(h, ks=[2], restarts=8, seed=0)
-        assert not gap_witness_detects(ground_state_dm(h.dense()), report, 2)
+        assert not gap_witness_detects(ground_state_dm(h), report, 2)
 
     def test_shape_mismatch(self):
         h = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.0))

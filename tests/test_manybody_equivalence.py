@@ -214,7 +214,7 @@ def test_small_budget_splits_batches(budget, monkeypatch):
         monkeypatch.setattr(manybody, "_CHUNK_BYTES", 1)
     else:
         monkeypatch.setattr(manybody, "_CHUNK_BYTES", _budget(n, (3, 2), 3, 3))
-    assert manybody._chunk_len(n, (3, 2), 3) == (1 if budget == "one" else 3)
+    assert manybody._chunk_len((3, 2), 3) == (1 if budget == "one" else 3)
     h_mat = _hamiltonian("chain" if budget == "one" else "ring", n, "anisotropic-field")
     for k in (2, 3, 4):
         _agree(h_mat, k, restarts=3, seed=1)

@@ -7,6 +7,7 @@ import pytest
 from multisep import (
     DensityMatrix,
     DomainError,
+    ResourceError,
     StateSpec,
     StateVector,
     as_provider,
@@ -184,7 +185,7 @@ class TestProviders:
     def test_to_dense_cap_checked_before_allocating(self):
         # 4^8 = 65536 exceeds the default dense cap; nothing is allocated
         prov = family_state("ghz-iso", n=8, d=4, alpha=0.5, representation="provider")
-        with pytest.raises(DomainError, match="exceeds the cap"):
+        with pytest.raises(ResourceError, match="exceeds the cap"):
             prov.to_dense()
 
     def test_mixture_weights_validated(self):

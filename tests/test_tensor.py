@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multisep import (
     DensityMatrix,
     DomainError,
+    ResourceError,
     StateVector,
     SystemShape,
     apply_local_unitaries,
@@ -265,7 +266,7 @@ class TestValidation:
         assert raw.element((0,), (0,)) == 1.5
 
     def test_dense_cap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ResourceError):
             DensityMatrix(qubits(4), np.eye(16) / 16, max_dim=8)
 
     def test_unnormalised_vector_rejected(self):
