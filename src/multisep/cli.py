@@ -387,13 +387,22 @@ def _int_list(text):
             f"{text!r} is not a comma-separated list of integers") from None
 
 
-def _add_common(parser):
-    parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--d", type=int, default=2)
+_SHARED_FLAGS = {
+    "n": ("--n", {"type": int, "default": 3}),
+    "d": ("--d", {"type": int, "default": 2}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "tol": ("--tol", {"type": float, "default": criteria.DEFAULT_TOL}),
+    "max_dim": ("--max-dim", {"type": int, "default": None, "dest": "max_dim"}),
+}
+
+
+def _add_common(parser, *names):
+    """--out, plus the shared flags `names` (keys of _SHARED_FLAGS) that
+    the command reads, so that no command accepts a flag it ignores."""
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=criteria.DEFAULT_TOL)
-    parser.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    for name in names:
+        flag, kwargs = _SHARED_FLAGS[name]
+        parser.add_argument(flag, **kwargs)
 
 
 def _add_family(parser):
@@ -423,7 +432,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="construct a state and write it as JSON")
-    _add_common(p)
+    _add_common(p, "n", "d", "max_dim")
     _add_family(p)
     p.add_argument("--kind", default="ghz",
                    choices=["ghz", "w", "dicke", "smolin", "bell", "basis-product"])
@@ -435,14 +444,14 @@ def build_parser():
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("crit", help="evaluate a criterion on a state")
-    _add_common(p)
+    _add_common(p, "n", "d", "tol", "max_dim")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--in", dest="infile", default=None, help="density-matrix JSON file")
     p.set_defaults(func=cmd_crit)
 
     p = sub.add_parser("measure", help="entanglement measures")
-    _add_common(p)
+    _add_common(p, "max_dim")
     p.add_argument("--measure", required=True, choices=["cgme", "cgme-bound", "schmidt-rank"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--probe", default=None)
@@ -450,7 +459,7 @@ def build_parser():
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("scan", help="sweep a family parameter against a criterion")
-    _add_common(p)
+    _add_common(p, "n", "d", "tol", "max_dim")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--var", default=None, help="parameter to sweep (family default)")
@@ -460,7 +469,7 @@ def build_parser():
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("threshold", help="bisect a detection threshold")
-    _add_common(p)
+    _add_common(p, "n", "d", "tol", "max_dim")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--var", default=None)
@@ -469,8 +478,14 @@ def build_parser():
     p.add_argument("--threshold-tol", type=float, default=1e-8, dest="threshold_tol")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("manybody", help="entanglement gaps of a Heisenberg lattice")
-    _add_common(p)
+    p = sub.add_parser(
+        "manybody", help="entanglement gaps of a Heisenberg lattice",
+        description="Entanglement gaps of a Heisenberg lattice.  cgme_ground is the "
+                    "GME-concurrence of the first ground eigenvector that LAPACK returns; "
+                    "where the ground level is degenerate (odd rings) that vector, and so "
+                    "the value, depends on the LAPACK build, its thread count and the "
+                    "matrix's dtype.")
+    _add_common(p, "n", "seed")
     p.add_argument("--lattice", choices=["chain", "ring"], default="ring")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--h-start", type=float, default=0.0, dest="h_start")
@@ -485,7 +500,7 @@ def build_parser():
     p = sub.add_parser("qss", help="quantum secret sharing simulation/verification")
     qss_sub = p.add_subparsers(dest="qss_cmd", required=True)
     ps = qss_sub.add_parser("simulate")
-    _add_common(ps)
+    _add_common(ps, "seed")
     ps.add_argument("--rounds", type=int, default=1000)
     ps.add_argument("--eavesdrop", action="store_true")
     ps.add_argument("--emit-expectations", default=None, dest="emit_expectations")
@@ -493,7 +508,7 @@ def build_parser():
                     help="binomial sampling noise on emitted expectations")
     ps.set_defaults(func=cmd_qss)
     pv = qss_sub.add_parser("verify")
-    _add_common(pv)
+    _add_common(pv, "tol")
     pv.add_argument("--expectations", required=True)
     pv.set_defaults(func=cmd_qss)
 

@@ -8,12 +8,14 @@ A SpinHamiltonian holds the lattice and couplings; one cached
 eigendecomposition of its dense matrix gives E_0, Z and the Gibbs and
 ground states, and small site-block Hamiltonians give E_ksep: the
 least energy over product states of each canonical k-partition, found
-by alternating exact block ground-state updates (each block's
-Hamiltonian plus the mean field of its neighbours' Bloch vectors, so
-the energy decreases monotonically) from seeded random product states.
+from seeded random product states by sweeps of exact block ground-state
+updates (each block's Hamiltonian plus the mean field of its
+neighbours' Bloch vectors), Anderson-accelerated on those Bloch vectors
+and guarded so that only sweeps that do not raise the energy are kept.
 Partitions with the same ordered block sizes are swept together as one
-batch.  The result is therefore an upper bound on the true constrained
-minimum; detection keeps a slack margin in the conservative direction.
+batch.  Every energy reported is that of an actual product state, so
+the result is an upper bound on the true constrained minimum; detection
+keeps a slack margin in the conservative direction.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from .tensor import hermitian_spectrum  # noqa: F401
 DEFAULT_OPT_SLACK = 1e-6
 _DEGENERACY_TOL = 1e-9  # eigenvalues within this of E_0 span the ground manifold
 
-# Bytes of block and effective Hamiltonians one batch of partitions may
-# hold; a partition that alone needs more runs by itself.
+# Bytes of block and effective Hamiltonians and per-restart sweep state
+# one batch of partitions may hold; a partition that alone needs more
+# runs by itself.
 _CHUNK_BYTES = 1 << 26
+
+_DEPTH = 6  # Anderson history per row, in sweeps
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,12 @@ def _site_bits(n):
 
 def heisenberg_hamiltonian(lattice, params):
     """Dense spin-1/2 Hamiltonian
-    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i.
+    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i, as float64.
 
     Built bitwise in the computational basis: ZZ and the field sit on
     the diagonal, and XX + YY flips bits i and j of |x> with amplitude
-    (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1.
+    (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1; every
+    entry is real.
     2^n is checked before allocating against the package's one dense
     cap, tensor.DEFAULT_MAX_DENSE_DIM = 2^14 (ResourceError above n = 14).
     """
@@ -113,7 +119,7 @@ def heisenberg_hamiltonian(lattice, params):
     dim = 2 ** n
     x = np.arange(dim)
     z = 1.0 - 2.0 * _site_bits(n)
-    h_mat = np.zeros((dim, dim), dtype=complex)
+    h_mat = np.zeros((dim, dim))
     diag = np.zeros(dim)
     for i, j in lattice.edges:
         zz = z[:, i] * z[:, j]
@@ -165,9 +171,11 @@ class SpinHamiltonian:
         return self._built[sub]
 
     def spectrum(self):
-        """Ascending eigenvalues and the eigenvector columns of the dense
-        matrix, from one np.linalg.eigh, cached read-only: 16 * 4^n bytes
-        beside dense() (4 GiB at n = 14) while `self` lives, even for E_0 alone."""
+        """Ascending eigenvalues and the real eigenvector columns of the
+        dense matrix, from one real-symmetric np.linalg.eigh, cached
+        read-only: 8 * 4^n bytes beside dense() (2 GiB at n = 14) while
+        `self` lives, even for E_0 alone.  Within a degenerate level the
+        eigenvectors are whichever LAPACK returns."""
         if "spectrum" not in self._built:
             evals, evecs = np.linalg.eigh(self.dense())
             evals.flags.writeable = evecs.flags.writeable = False  # shared by every caller
@@ -215,8 +223,8 @@ def ground_state_dm(ham):
 
 @dataclass(frozen=True)
 class ProductMinimum:
-    """Least product-state energy found, and the partitions whose sweeps
-    were still lowering the energy when they hit max_iter."""
+    """Least product-state energy found, and the partitions whose search
+    had not stopped when it hit max_iter."""
 
     energy: float
     nonconverged: tuple = ()
@@ -242,15 +250,18 @@ def _site_paulis(size):
 
 def _chunk_len(sizes, restarts):
     """Partitions with these block sizes that fit one batch in
-    _CHUNK_BYTES: each block's Hamiltonian plus its effective
-    Hamiltonians over the restarts."""
-    per_partition = 16 * sum(4 ** s for s in sizes) * (1 + restarts)
-    return max(1, _CHUNK_BYTES // per_partition)
+    _CHUNK_BYTES: each block's Hamiltonian, and per restart its effective
+    Hamiltonians, the permuted adjacency and the Bloch vectors with their
+    Anderson history."""
+    n = sum(sizes)
+    hams = 16 * sum(4 ** s for s in sizes)
+    per_row = hams + 8 * (n * n + 3 * n * (2 * _DEPTH + 6))
+    return max(1, _CHUNK_BYTES // (hams + restarts * per_row))
 
 
 def _sweep_batch(ham, parts, starts, tol, max_iter):
-    """Alternating block ground-state updates for partitions that share
-    their ordered block sizes, all restarts at once.
+    """Anderson-accelerated block ground-state sweeps for partitions that
+    share their ordered block sizes, one row per (partition, restart).
 
     A product state enters block A's update only through its neighbours'
     Bloch vectors: A takes the ground vector of
@@ -262,63 +273,112 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
     field one matmul with the permuted adjacency, whose within-block
     entries are zero.
 
+    One sweep is a map G from Bloch vectors x to the Bloch vectors and
+    energy of the product state it builds.  A row's first _DEPTH sweeps
+    are plain ones, x = G(x) of the last; after them, each next x
+    extrapolates the row's last _DEPTH accepted (x, G(x)) pairs by
+    Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)).
+    An extrapolated sweep whose energy is above the row's best is
+    rejected: the row's history is cleared, and its next sweep is a
+    plain one from the last accepted state, which cannot raise the
+    energy.  Every energy kept is that of an actual product state.  A
+    row stops once max |G(x) - x| <= tol, or once its best energy has
+    not changed at all over the last _DEPTH sweeps (a block with a
+    degenerate ground level has no settled Bloch vectors).
+
     starts[j] holds block j's start states, shape (P, restarts, dA_j).
-    Returns each partition's least final energy over its restarts and
-    whether its largest per-sweep decrement fell below tol.  Converged
-    partitions leave the batch, which is compacted.
+    Returns each partition's least energy over its restarts and whether
+    all its restarts stopped within max_iter sweeps.  Stopped rows leave
+    the batch, which is compacted.
     """
     sizes = [len(block) for block in parts[0].blocks]
     cuts = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    restarts = starts[0].shape[1]
+    row_part = np.repeat(np.arange(len(parts)), restarts)
     orders = np.array([sum(part.blocks, ()) for part in parts])
     adj = np.zeros((ham.n, ham.n))
     for i, j in ham.lattice.edges:
         adj[i, j] = adj[j, i] = 1.0
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     adj = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] != block_of)
-    adj = adj[:, None]  # broadcast over restarts
+    adj = adj[row_part]
     coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
-    block_hams = [np.stack([ham.block(part.blocks[j]) for part in parts])[:, None]
+    block_hams = [np.stack([ham.block(part.blocks[j]) for part in parts])
                   for j in range(len(sizes))]
     paulis = [_site_paulis(s) for s in sizes]
 
     def bloch_vectors(j, states):
-        rho = states.conj()[..., :, None] * states[..., None, :]
-        return (rho.reshape(*states.shape[:2], -1) @ paulis[j].T).real.reshape(
-            *states.shape[:2], -1, 3)
+        rho = states.conj()[:, :, None] * states[:, None, :]
+        return (rho.reshape(len(states), -1) @ paulis[j].T).real.reshape(len(states), -1, 3)
 
-    bloch = np.concatenate([bloch_vectors(j, s) for j, s in enumerate(starts)], axis=2)
-    restarts = bloch.shape[1]
-    block_energy = np.zeros((len(parts), restarts, len(sizes)))
-    live = np.arange(len(parts))
-    energies = np.full((len(parts), restarts), np.inf)
-    final = np.empty_like(energies)
-    converged = np.zeros(len(parts), dtype=bool)
-    for _ in range(max_iter):
-        prev = energies
+    def sweep(x):
+        """G(x), flattened per row, and the energy of its product state."""
+        g = x.reshape(len(x), -1, 3).copy()
+        energy = np.zeros(len(x))
         for j, sl in enumerate(slices):
-            mean_field = coupling * (adj[:, :, sl] @ bloch)
+            field = coupling * (adj[:, sl] @ g)
             d = block_hams[j].shape[-1]
-            heff = block_hams[j] + (mean_field.reshape(*bloch.shape[:2], -1)
-                                    @ paulis[j]).reshape(*bloch.shape[:2], d, d)
+            heff = (field.reshape(len(x), -1) @ paulis[j]).reshape(len(x), d, d)
+            heff += block_hams[j][row_part]
             evals, evecs = np.linalg.eigh(heff)
-            bloch[:, :, sl] = bloch_vectors(j, evecs[..., 0])
-            block_energy[..., j] = evals[..., 0] - np.sum(mean_field * bloch[:, :, sl],
-                                                          axis=(2, 3))
-        bonds = np.sum(coupling * (adj @ bloch) * bloch, axis=(2, 3))
-        energies = block_energy.sum(axis=2) + 0.5 * bonds
-        done = np.max(prev - energies, axis=1) < tol
+            g[:, sl] = bloch_vectors(j, evecs[..., 0])
+            energy += evals[:, 0] - np.sum(field * g[:, sl], axis=(1, 2))
+        energy += 0.5 * np.sum(coupling * (adj @ g) * g, axis=(1, 2))
+        return g.reshape(len(x), -1), energy
+
+    x = np.concatenate([bloch_vectors(j, s.reshape(-1, s.shape[-1]))
+                        for j, s in enumerate(starts)], axis=1).reshape(len(row_part), -1)
+    rows = np.arange(len(x))
+    final = np.full(len(x), np.inf)
+    stopped = np.zeros(len(x), dtype=bool)
+    best = np.full(len(x), np.inf)
+    recent = np.full((len(x), _DEPTH), np.inf)  # best over the last _DEPTH sweeps
+    d_res = np.zeros((len(x), _DEPTH, x.shape[1]))  # residual and G differences
+    d_out = np.zeros_like(d_res)
+    prev_res, prev_out = np.zeros_like(x), x
+    follows = np.zeros(len(x), dtype=bool)  # the last sweep was accepted
+    mixing = np.zeros(len(x), dtype=bool)  # x was extrapolated
+    for it in range(max_iter):
+        out, energy = sweep(x)
+        res = out - x
+        ok = ~mixing | (energy <= best)
+        slot = it % _DEPTH
+        grow = (ok & follows)[:, None]
+        d_res[:, slot] = np.where(grow, res - prev_res, 0.0)
+        d_out[:, slot] = np.where(grow, out - prev_out, 0.0)
+        if not ok.all():
+            d_res[~ok] = d_out[~ok] = 0.0
+        prev_res = np.where(ok[:, None], res, prev_res)
+        prev_out = np.where(ok[:, None], out, prev_out)
+        best = np.minimum(best, np.where(ok, energy, np.inf))
+        fell = recent[:, slot] - best
+        recent[:, slot] = best
+        done = ok & ((np.max(np.abs(res), axis=1) <= tol) | (fell <= 0))
+
+        # the next x: extrapolated where the last two sweeps were accepted
+        # and the plain start is over, else the last accepted G(x)
+        mixing = grow[:, 0] & (it + 1 >= _DEPTH) & ~done
+        follows = ok
+        x = prev_out.copy()
+        if mixing.any():
+            dr, do = d_res[mixing], d_out[mixing]
+            gram = dr @ dr.transpose(0, 2, 1)
+            reg = 1e-12 * np.trace(gram, axis1=1, axis2=2) + 1e-300
+            gram += reg[:, None, None] * np.eye(_DEPTH)
+            gamma = np.linalg.solve(gram, dr @ prev_res[mixing][:, :, None])
+            x[mixing] -= (gamma.transpose(0, 2, 1) @ do)[:, 0]
         if done.any():
-            final[live[done]] = energies[done]
-            converged[live[done]] = True
+            final[rows[done]] = best[done]
+            stopped[rows[done]] = True
             keep = ~done
-            live, energies = live[keep], energies[keep]
-            bloch, block_energy, adj = bloch[keep], block_energy[keep], adj[keep]
-            block_hams = [h[keep] for h in block_hams]
-            if not live.size:
+            (x, rows, best, recent, d_res, d_out, prev_res, prev_out, follows, mixing, adj,
+             row_part) = (a[keep] for a in (x, rows, best, recent, d_res, d_out, prev_res,
+                                            prev_out, follows, mixing, adj, row_part))
+            if not rows.size:
                 break
-    final[live] = energies
-    return final.min(axis=1), converged
+    final[rows] = best
+    return final.reshape(-1, restarts).min(axis=1), stopped.reshape(-1, restarts).all(axis=1)
 
 
 def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
@@ -326,26 +386,34 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     """Minimal energy over k-separable states (upper bound by local search).
 
     `ham` is a SpinHamiltonian.  Minimises <psi|H|psi> over product
-    states of every canonical k-partition by alternating exact block
+    states of every canonical k-partition by sweeps of exact block
     ground-state updates, each block in the mean field of its
-    neighbours' Bloch vectors (see _sweep_batch); each update can only
-    lower the energy, so every restart converges in energy.  Only block
-    Hamiltonians are built, never the 2^n x 2^n matrix, except for k = 1,
-    the unconstrained ground energy, read from ham.spectrum().
+    neighbours' Bloch vectors, accelerated by Anderson mixing on those
+    Bloch vectors (see _sweep_batch).  An accelerated sweep that would
+    raise a restart's energy is rejected and replaced by a plain sweep,
+    which cannot, and the energy kept is the best accepted one, always
+    that of an actual product state.  Only block Hamiltonians are built,
+    never the 2^n x 2^n matrix, except for k = 1, the unconstrained
+    ground energy, read from ham.spectrum().
 
     Partitions with the same ordered block sizes (every (4, 2)
     bipartition, say) are swept as one batch, all restarts together,
-    in chunks of at most _CHUNK_BYTES of block and effective Hamiltonians.
+    in chunks of at most _CHUNK_BYTES (see _chunk_len).
     Start states are drawn from the seeded generator per partition in
     enumeration order and per block, so each (partition, restart)
-    starts exactly where a one-partition-at-a-time search would.  A
-    partition leaves its batch once its largest per-sweep decrement over
-    restarts falls below tol; one still above it after max_iter sweeps
+    starts exactly where a one-partition-at-a-time search would.
+
+    tol bounds the fixed-point residual: a restart stops once one sweep
+    moves no Bloch vector component by more than tol, or, whatever tol
+    is, once its best energy has not changed at all over the last
+    _DEPTH sweeps (a block whose ground level is degenerate has Bloch
+    vectors that never settle, and its energy goes flat instead).  A
+    partition whose restarts have not all stopped after max_iter sweeps
     keeps its best value and is named in `nonconverged`.  A known lower
     bound (the exact ground energy) ends the search, checked after every
     batch, once the best energy over the partitions up to some point in
-    enumeration order reaches it; the result then covers exactly those
-    partitions, as a one-partition-at-a-time search would.
+    enumeration order is within tol of it; the result then covers exactly
+    those partitions, as a one-partition-at-a-time search would.
     """
     n = _spin_count(ham)
     if not 1 <= k <= n:

@@ -329,6 +329,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["manybody", "--d", "7"],
+        ["unstable", "--n", "9", "--seed", "4"],
+        ["qss", "simulate", "--n", "7", "--max-dim", "1"],
+    ])
+    def test_flags_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestManybodyCli:
     def test_csv_columns_and_gap(self, capsys):

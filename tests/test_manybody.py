@@ -388,3 +388,57 @@ class TestGapWitness:
             gap_witness_detects(maximally_mixed(qubits(3)), report, 2)
         with pytest.raises(DomainError):
             gap_witness_detects(maximally_mixed(qubits(4)), report, 3)
+
+
+RING6_EXACT = {
+    2: -(3 + np.sqrt(3)),   # a singlet pair beside the open 4-chain ground state
+    3: -4.5,                # three singlet pairs
+    5: -(2 + np.sqrt(2)),
+    6: -3.0,                # the Neel state
+}
+
+
+class TestClosedFormAnchors:
+    """E_ksep of the isotropic ring(6) and ring(9) against their exact
+    values, which the accelerated search reaches to rounding."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ring6(self, seed):
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.0))
+        assert abs(ham.spectrum()[0][0] + 2 + np.sqrt(13)) < 1e-10
+        for k, exact in RING6_EXACT.items():
+            res = min_ksep_energy(ham, k, restarts=2, seed=seed)
+            assert res.converged and abs(res.energy - exact) < 1e-10, (k, res.energy)
+
+    def test_ring9_full_product(self):
+        # neighbours at angle 8 pi / 9, the most a 9-ring can close with
+        ham = SpinHamiltonian(Lattice.ring(9), HeisenbergParams.from_gamma(0.0))
+        res = min_ksep_energy(ham, 9, restarts=2, seed=1)
+        assert res.converged and abs(res.energy - 4.5 * np.cos(8 * np.pi / 9)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_degenerate_blocks_converge(self, n):
+        # a singlet pair leaves the rest in zero field, whose ground level
+        # is degenerate, so its Bloch vectors never settle
+        ham = SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(0.0))
+        for seed in range(3):
+            assert min_ksep_energy(ham, 2, restarts=2, seed=seed).converged
+
+    def test_anisotropic_chain_converges(self):
+        ham = SpinHamiltonian(Lattice.chain(7), HeisenbergParams.from_gamma(0.3, h=0.2))
+        assert min_ksep_energy(ham, 3, restarts=1, seed=5).converged
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slow_partition_within_100_sweeps(self, seed):
+        """(0,1)|(2,3,4,5) of ring(6): at the optimum its blocks decouple,
+        so plain alternating sweeps creep toward it for over 1000 sweeps."""
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.0))
+        part = next(p for p in iter_k_partitions(6, 2) if p.blocks == ((0, 1), (2, 3, 4, 5)))
+        rng = np.random.default_rng(seed)
+        starts = []
+        for block in part.blocks:
+            v = rng.standard_normal((1, 2, 2 ** len(block))) * (1 + 0j)
+            v += 1j * rng.standard_normal(v.shape)
+            starts.append(v / np.linalg.norm(v, axis=2, keepdims=True))
+        energy, converged = manybody._sweep_batch(ham, [part], starts, 1e-10, 100)
+        assert converged[0] and abs(energy[0] + 3 + np.sqrt(3)) < 1e-12

@@ -1,15 +1,19 @@
-"""The batched product-state optimiser and the bitwise Hamiltonian
-against the code they replaced.
+"""The product-state optimiser and the bitwise Hamiltonian against the
+code they replaced.
 
-oracle_min_ksep_energy sweeps one partition at a time with an einsum
-over permuted copies of H built basis state by basis state, and
-oracle_hamiltonian sums kron products of Pauli matrices; both are kept
-verbatim in logic.  For identical seeds and restarts the batched search
-must reproduce every E_ksep to 1e-12 with the same converged flag, also
-when a lower bound ends the search early, when max_iter cuts it short
-and when a small byte budget splits the batches.  The Hamiltonians must
-be equal entry for entry.  The oracles are kept for one release as a
-safety net and then deleted.
+oracle_min_ksep_energy sweeps one partition at a time with plain
+alternating block updates, an einsum over permuted copies of H built
+basis state by basis state, and stops once the energy falls by less
+than tol per sweep; oracle_hamiltonian sums kron products of Pauli
+matrices.  Both are kept verbatim in logic.  The accelerated search
+stops on a stricter test, so for identical seeds and restarts every
+E_ksep must be no more than 1e-12 above the oracle's, and converged
+wherever the oracle converged, also when max_iter cuts both searches
+short, when a lower bound ends the search early and when a small byte
+budget splits the batches.  Rows are swept independently, so a split
+search must also equal the unsplit one to 1e-12, naming the same
+nonconverged partitions.  The Hamiltonians must be equal entry for
+entry, the oracle's imaginary part exactly zero.
 """
 
 import numpy as np
@@ -29,6 +33,7 @@ from multisep import (
 from multisep import manybody
 
 TOL = 1e-12
+DEFAULT_CHUNK_BYTES = manybody._CHUNK_BYTES
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -144,11 +149,23 @@ def _hamiltonian(lattice, n, field):
     return SpinHamiltonian(LATTICES[lattice](n), FIELDS[field])
 
 
-def _agree(ham, k, **kwargs):
+def _no_worse(ham, k, **kwargs):
     ours = min_ksep_energy(ham, k, **kwargs)
     energy, converged = oracle_min_ksep_energy(ham.dense(), k, **kwargs)
-    assert abs(ours.energy - energy) <= TOL, (k, kwargs, ours.energy, energy)
-    assert ours.converged == converged, (k, kwargs)
+    assert ours.energy <= energy + TOL, (k, kwargs, ours.energy, energy)
+    assert ours.converged or not converged, (k, kwargs)
+    return ours
+
+
+def _split_no_worse(ham, k, **kwargs):
+    """_no_worse under the patched byte budget, and the same result as
+    at the default budget."""
+    ours = _no_worse(ham, k, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manybody, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
+        whole = min_ksep_energy(ham, k, **kwargs)
+    assert abs(ours.energy - whole.energy) <= TOL, (k, kwargs, ours.energy, whole.energy)
+    assert ours.nonconverged == whole.nonconverged, (k, kwargs)
     return ours
 
 
@@ -168,12 +185,16 @@ def test_every_k_seed_and_restart_count(lattice, n, field, seeds):
     for k in range(1 if n < 6 else 2, n + 1):
         for seed in seeds:
             for restarts in (1, 3):
-                _agree(ham, k, restarts=restarts, seed=seed)
+                _no_worse(ham, k, restarts=restarts, seed=seed)
 
 
 def _budget(n, sizes, restarts, partitions):
-    """A byte budget that holds this many partitions of the given sizes."""
-    return partitions * 16 * sum(4 ** s for s in sizes) * (1 + restarts)
+    """A byte budget that holds this many partitions of the given sizes:
+    block Hamiltonians, and per restart effective Hamiltonians, adjacency
+    and Bloch vectors with a 6-deep Anderson history."""
+    hams = 16 * sum(4 ** s for s in sizes)
+    per_row = hams + 8 * (n * n + 3 * n * (2 * 6 + 6))
+    return partitions * (hams + restarts * per_row)
 
 
 @pytest.mark.parametrize("budget", ["one", "few"])
@@ -190,21 +211,22 @@ def test_lower_bound_exit(budget, monkeypatch):
     h_field = SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(0.0, h=3.0))
     e0 = float(hermitian_spectrum(h_field.dense())[0])
     for k in (2, 3):
-        ours = _agree(h_field, k, restarts=3, seed=1, lower_bound=e0)
+        ours = _split_no_worse(h_field, k, restarts=3, seed=1, lower_bound=e0)
         assert ours.energy - e0 < 1e-6
     h_mat = SpinHamiltonian(Lattice.chain(n), HeisenbergParams.from_gamma(0.3, h=0.2))
     for k in (2, 3):
         unbounded = min_ksep_energy(h_mat, k, restarts=3, seed=2).energy
-        _agree(h_mat, k, restarts=3, seed=2, lower_bound=unbounded)
-        _agree(h_mat, k, restarts=3, seed=2, lower_bound=unbounded - 1e-3)
+        _split_no_worse(h_mat, k, restarts=3, seed=2, lower_bound=unbounded)
+        _split_no_worse(h_mat, k, restarts=3, seed=2, lower_bound=unbounded - 1e-3)
 
 
 def test_max_iter_cut_names_every_partition():
     h_mat = SpinHamiltonian(Lattice.ring(5), HeisenbergParams.from_gamma(0.0))
     for k in (2, 3, 4):
-        ours = _agree(h_mat, k, restarts=3, seed=0, max_iter=1)
+        ours = _no_worse(h_mat, k, restarts=3, seed=0, max_iter=1)
         assert ours.nonconverged == tuple(iter_k_partitions(5, k))
-        _agree(h_mat, k, restarts=3, seed=0, max_iter=4)
+        for cut in (4, 10):
+            _no_worse(h_mat, k, restarts=3, seed=0, max_iter=cut)
 
 
 @pytest.mark.parametrize("budget", ["one", "few"])
@@ -217,8 +239,8 @@ def test_small_budget_splits_batches(budget, monkeypatch):
     assert manybody._chunk_len((3, 2), 3) == (1 if budget == "one" else 3)
     h_mat = _hamiltonian("chain" if budget == "one" else "ring", n, "anisotropic-field")
     for k in (2, 3, 4):
-        _agree(h_mat, k, restarts=3, seed=1)
-    _agree(h_mat, 3, restarts=3, seed=1, max_iter=3)
+        _split_no_worse(h_mat, k, restarts=3, seed=1)
+    _split_no_worse(h_mat, 3, restarts=3, seed=1, max_iter=3)
 
 
 HAMILTONIAN_PARAMS = [
@@ -238,5 +260,7 @@ def test_hamiltonian_identical(n):
     for lattice in lattices:
         for params in HAMILTONIAN_PARAMS:
             ours = heisenberg_hamiltonian(lattice, params)
-            assert ours.dtype == np.complex128
-            assert np.array_equal(ours, oracle_hamiltonian(lattice, params)), (lattice, params)
+            oracle = oracle_hamiltonian(lattice, params)
+            assert ours.dtype == np.float64
+            assert np.all(oracle.imag == 0.0), (lattice, params)
+            assert np.array_equal(ours, oracle.real), (lattice, params)
