@@ -12,6 +12,7 @@ identical flags and seeds every output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -424,7 +425,12 @@ def _add_crit(parser):
     parser.add_argument("--f", type=int, default=2)
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on first use.  parse_args reads it
+    without changing it: each call starts from a fresh namespace filled
+    from the actions' defaults, and help and usage text are formatted
+    when printed, so one call's flags do not reach the next."""
     parser = argparse.ArgumentParser(
         prog="multisep",
         description="Multipartite separability criteria and applications",
@@ -545,7 +551,3 @@ def main(argv=None):
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import cos, cosh, exp, inf, isfinite, sin, sinh, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .applications import PAULI
 from .errors import DomainError
@@ -203,6 +202,10 @@ def chsh_bound(settings, grid=(64, 128), refine=True):
                 best_val = val
                 best_angles = (th, ph)
         if refine:
+            # SciPy is loaded here, on first use, so that importing the
+            # package and its CLI costs only NumPy
+            from scipy.optimize import minimize
+
             res = minimize(
                 lambda x: -sign * extremum(_unit(x[0], x[1]), sign),
                 x0=np.array(best_angles),

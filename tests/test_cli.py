@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multisep import ResourceError, manybody
+from multisep import ResourceError, cli, manybody
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -460,3 +466,55 @@ class TestGrid:
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource cap: grid")
+
+
+def run_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                "import multisep, multisep.cli; print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        crit = ["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
+                "--alpha", "0.5"]
+        sequence = [
+            crit + ["--tol", "0.1", "--max-dim", "8"],
+            ["crit", "--crit", "nope"],
+            ["crit", "--help"],
+            crit,
+        ]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run_outcome(capsys, argv))
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+        # the non-default flags change the report, so a leak would show
+        assert fresh[0][1] != fresh[3][1]
+        parser = cli.build_parser()
+        assert [run_outcome(capsys, argv) for argv in sequence] == fresh
+        assert cli.build_parser() is parser
+
+    def test_python_m_multisep_matches_main(self, capsys):
+        argv = ["crit", "--crit", "ksep", "--k", "2", "--probe", "0000,1111",
+                "--family", "ghz-iso", "--n", "4", "--alpha", "0.3"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "multisep", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
