@@ -25,7 +25,6 @@ from .applications import QssSimulator, qss_verification_value
 from .errors import DomainError, ResourceError
 from .states import StateSpec, family_state, make_state, mix_white_noise
 from .tensor import (
-    DensityMatrix,
     StateVector,
     load_density_matrix,
     save_density_matrix,
@@ -138,9 +137,7 @@ def _evaluate(args, state):
     tol = args.tol
     _check_tolerance("--tol", tol)
     if crit == "ppt":
-        if not isinstance(state, DensityMatrix):
-            state = state.to_dense(max_dim=args.max_dim)
-        return criteria.ppt_check(state, args.block or [0], tol=tol)
+        return criteria.ppt_check(state, args.block or [0], tol=tol, max_dim=args.max_dim)
     if crit == "bipartite":
         return criteria.bipartite_value(state, _parse_probe(args.probe), tol=tol)
     if crit == "gme":

@@ -10,8 +10,9 @@ holds uniformly and thresholds are open intervals (violated strictly
 above).
 
 All evaluators accept dense DensityMatrix inputs or closed-form element
-providers interchangeably (except the PPT check, which needs the full
-spectrum and therefore a dense matrix).
+providers interchangeably.  The PPT check takes a DensityMatrix or a
+MixtureProvider, whose partial transpose it diagonalises on the
+support only, without a dense matrix.
 
 The matrix-element criteria (bipartite, gme, ksep, q0, qm, dicke) are
 one sum: off-diagonal moduli |rho_ab| minus, over partitions of the
@@ -57,7 +58,7 @@ from .partitions import (  # noqa: F401
     k_partition_rows,
     partition_count,
 )
-from .states import FlippedProvider, as_provider, ghz_state, w_state
+from .states import FlippedProvider, MixtureProvider, as_provider, ghz_state, w_state
 from .tensor import DensityMatrix, hermitian_spectrum, partial_transpose
 
 DEFAULT_TOL = 1e-10
@@ -291,16 +292,30 @@ def _coerce_probe(probe):
     return ProbePair(a, b)
 
 
-def ppt_check(rho, block, tol=DEFAULT_TOL):
+def ppt_check(state, block, tol=DEFAULT_TOL, max_dim=None):
     """Negativity test under partial transposition of the given block.
 
     value = -(minimal eigenvalue of rho^{T_block}); positive value means
-    NPT, hence entangled across the cut.
+    NPT, hence entangled across the cut.  A DensityMatrix is transposed
+    and diagonalised whole.  A MixtureProvider, L + w_noise I/D with L on
+    s support indices, never is: L^{T_block} vanishes off a set S of at
+    most s^2 indices (MixtureProvider.low_rank_partial_transpose), so
+    lambda_min = w_noise/D + min(lambda_min(L^{T_block} on S), 0 if
+    |S| < D).  max_dim caps s^2 there (default the dense cap).
     """
-    if not isinstance(rho, DensityMatrix):
-        raise DomainError("ppt_check needs a dense DensityMatrix (full spectrum required)")
-    spectrum = hermitian_spectrum(partial_transpose(rho, block))
-    return _report("ppt", -spectrum[0], params={"block": sorted(int(b) for b in block)}, tol=tol)
+    if isinstance(state, DensityMatrix):
+        least = hermitian_spectrum(partial_transpose(state, block))[0]
+    elif isinstance(state, MixtureProvider):
+        support, low_rank = state.low_rank_partial_transpose(block, max_dim=max_dim)
+        total = state.shape.total
+        least = hermitian_spectrum(low_rank)[0] if len(support) else 0.0
+        if len(support) < total:
+            least = min(least, 0.0)
+        least += state.noise_weight / total
+    else:
+        raise DomainError(
+            f"ppt_check needs a DensityMatrix or a MixtureProvider, got {type(state).__name__}")
+    return _report("ppt", -least, params={"block": sorted(int(b) for b in block)}, tol=tol)
 
 
 def _probe_value(state, k, probe, cap):

@@ -20,11 +20,13 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .tensor import (
+    DEFAULT_MAX_DENSE_DIM,
     DensityMatrix,
     StateVector,
     SystemShape,
+    _check_block,
     _check_dense_dim,
     qudits,
 )
@@ -175,6 +177,36 @@ class MixtureProvider(ElementProvider):
         flat = np.asarray(flat, dtype=self.shape.index_dtype)
         val = self._support_diag[self._columns(flat)] + self.noise_weight / self.shape.total
         return np.maximum(val, 0.0)
+
+    def low_rank_partial_transpose(self, block, max_dim=None):
+        """(S, M) with rho^{T_block} = M on S x S + noise_weight/total * I.
+
+        The low-rank part L = sum_t w_t |psi_t><psi_t| lives on the s
+        support indices.  Partial transposition moves L[x, y] to (x', y'),
+        x' being x with its block digits taken from y and y' being y with
+        its block digits taken from x, so it vanishes off S x S, where S
+        (sorted flat indices) is the set of every x' and |S| <= s^2.  The
+        cap max_dim (default the dense cap) bounds s^2 and is checked
+        before anything is allocated.
+        """
+        block = _check_block(block, self.shape.n)
+        s = len(self._keys) - 1
+        cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
+        if s * s > cap:
+            raise ResourceError(
+                f"partial transpose on the support needs s^2 = {s * s} entries "
+                f"({s} support indices) and exceeds the cap {cap}")
+        keys = self._keys[:-1]
+        place = self.shape.place_values()[block]
+        dims = np.array(self.shape.dims, dtype=self.shape.index_dtype)[block]
+        in_block = ((keys[:, None] // place) % dims * place).sum(axis=1)
+        # x' = x off the block + y on it; y' of (x, y) is x' of (y, x)
+        moved = (keys - in_block)[:, None] + in_block[None, :]
+        support, where = np.unique(moved, return_inverse=True)
+        where = where.reshape(s, s)
+        mat = np.zeros((len(support), len(support)), dtype=complex)
+        mat[where, where.T] = self._weighted[:, :-1].T @ self._amps[:, :-1].conj()
+        return support, mat
 
     def _dense_matrix(self):
         total = self.shape.total

@@ -265,6 +265,22 @@ def partial_trace(rho, systems):
     return DensityMatrix(new_shape, t.reshape(new_shape.total, new_shape.total), validate=False)
 
 
+def _check_block(block, n):
+    """Sorted labels of a transposition block: a non-empty proper subset
+    of the n subsystems, each label once."""
+    block = [int(s) for s in block]
+    if not block:
+        raise DomainError("transposition block must be non-empty")
+    if len(block) != len(set(block)):
+        raise DomainError(f"subsystem labels {block} must be distinct")
+    block.sort()
+    if any(not 0 <= s < n for s in block):
+        raise DomainError(f"subsystem labels {block} out of range for n={n}")
+    if len(block) == n:
+        raise DomainError("transposing every subsystem is the full transpose; take a proper subset")
+    return block
+
+
 def partial_transpose(rho, block):
     """Transpose the given subsystem block; returns a plain matrix.
 
@@ -272,14 +288,7 @@ def partial_transpose(rho, block):
     so it is not wrapped as a DensityMatrix.
     """
     n = rho.shape.n
-    block = sorted(set(int(s) for s in block))
-    if not block:
-        raise DomainError("transposition block must be non-empty")
-    if any(not 0 <= s < n for s in block):
-        raise DomainError(f"subsystem labels {block} out of range for n={n}")
-    if len(block) == n:
-        raise DomainError("transposing every subsystem is the full transpose; take a proper subset")
-
+    block = _check_block(block, n)
     t = _as_tensor(rho)
     axes = list(range(2 * n))
     for s in block:

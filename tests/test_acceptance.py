@@ -247,6 +247,20 @@ def test_criterion_08_ppt_matches_full_separability_threshold():
     record_criterion("8 ppt / k=n coincidence", ok, "; ".join(details))
 
 
+def test_criterion_08_ppt_coincidence_beyond_the_dense_cap():
+    # D = 4^8 = 65536 > 2^14: PPT on the provider's support, no dense matrix
+    n, d = 8, 4
+    provider = lambda a: family_state("ghz-iso", n=n, d=d, alpha=a,
+                                      representation="provider")
+    probe = ProbePair((0,) * n, (d - 1,) * n)
+    thr_ksep = bisect(lambda a: ksep_value(provider(a), n, probe).violated, 0.0, 0.9)
+    thr_ppt = bisect(lambda a: ppt_check(provider(a), [0]).violated, 0.0, 0.9)
+    exact = 1.0 / (d ** (n - 1) + 1)
+    ok = abs(thr_ppt - exact) < 1e-6 and abs(thr_ksep - exact) < 1e-6
+    record_criterion("8 ppt / k=n coincidence beyond the dense cap", ok,
+                     f"n={n},d={d}: ppt {thr_ppt:.9f}, ksep {thr_ksep:.9f}, 1/16385")
+
+
 def test_criterion_09_qss():
     table = qss_table()
     sign = {"+": 1, "-": -1}

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisep import ResourceError, cli, manybody
+from multisep import DensityMatrix, ResourceError, cli, manybody
+from multisep.states import ElementProvider
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -163,24 +164,70 @@ class TestExitCodes:
 
     def test_dense_cap_checked_before_allocating(self, capsys):
         # 4^8 = 65536 > 2^14: refused before a 64 GiB matrix is allocated
-        code = main(["crit", "--crit", "ppt", "--family", "ghz-iso", "--n", "8",
-                     "--d", "4", "--alpha", "0.5"])
+        code = main(["state", "--family", "ghz-iso", "--n", "8", "--d", "4",
+                     "--alpha", "0.5"])
         assert code == 3
         assert "exceeds the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["crit", "--crit", "ppt", "--alpha", "0.5"],
+        ["crit", "--crit", "ppt", "--p", "0.5"],
         ["scan", "--crit", "ppt", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
         ["threshold", "--crit", "ppt", "--lo", "0.1", "--hi", "0.9"],
         ["state", "--alpha", "0.5"],
     ])
     def test_max_dim_caps_family_states(self, capsys, command):
-        # ghz-iso at n = d = 4 has dimension 256
-        argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
+        if command[0] == "state":
+            # ghz-iso at n = d = 4 has dimension 256
+            argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
+            named = "dimension 256 exceeds the cap 100"
+        else:
+            # PPT runs on the support: C(6, 3)^2 = 400 entries for dicke-iso n=6, m=3
+            argv = command + ["--family", "dicke-iso", "--n", "6", "--m", "3"]
+            named = "400 entries"
         assert main(argv + ["--max-dim", "100"]) == 3
-        assert "dimension 256 exceeds the cap 100" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         if command[0] == "crit":
-            assert main(argv + ["--max-dim", "256"]) == 0
+            assert main(argv + ["--max-dim", "400"]) == 0
+
+    def test_ppt_beyond_the_dense_cap(self, capsys):
+        # D = 4^8 = 65536 > 2^14, but the support has 4 indices
+        code, out = run_cli(capsys, "crit", "--crit", "ppt", "--family", "ghz-iso",
+                            "--n", "8", "--d", "4", "--alpha", "0.5", "--block", "0,3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["params"] == {"block": [0, 3]}
+        assert report["value"] == pytest.approx(0.5 / 4 - 0.5 / 4 ** 8, rel=0, abs=1e-12)
+
+    def test_ppt_support_cap_names_its_size(self, capsys):
+        # C(20, 10) = 184756 support indices, 184756^2 = 34134779536
+        code = main(["crit", "--crit", "ppt", "--family", "dicke-iso", "--n", "20",
+                     "--m", "10", "--p", "0.5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap:") and "34134779536" in err
+
+    @pytest.mark.parametrize("block", ["0,0", "1,0,1", "3", "0,1,2"])
+    def test_bad_ppt_block_is_usage_error(self, capsys, block):
+        code = main(["crit", "--crit", "ppt", "--family", "ghz-iso", "--n", "3",
+                     "--alpha", "0.5", "--block", block])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [
+        ["crit", "--crit", "ppt", "--alpha", "0.5"],
+        ["scan", "--crit", "ppt", "--start", "0", "--stop", "0.2", "--step", "0.05"],
+        ["threshold", "--crit", "ppt", "--lo", "0", "--hi", "0.5"],
+    ])
+    def test_family_ppt_builds_no_dense_matrix(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("family PPT built a dense matrix")
+
+        monkeypatch.setattr(ElementProvider, "to_dense", refuse)
+        monkeypatch.setattr(DensityMatrix, "__init__", refuse)
+        argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "3", "--block", "1,2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_partition_cap_is_resource_error(self):
         code = main(["crit", "--crit", "ksep", "--k", "3",

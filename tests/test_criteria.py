@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from multisep import (
     w_state,
 )
 from multisep.sampling import random_density_matrix, random_product_pure
-from multisep.states import bell_state
+from multisep.states import FlippedProvider, MixtureProvider, bell_state
 from multisep.tensor import StateVector
 
 
@@ -80,6 +81,107 @@ class TestPpt:
         rho = vec_to_dm(bell_state("phi+"))
         with pytest.raises(DomainError):
             ppt_check(rho, [0, 1])
+
+    @pytest.mark.parametrize("block, message", [
+        ([], "non-empty"),
+        ([3], "out of range"),
+        ([-1], "out of range"),
+        ([0, 0], "distinct"),
+        ([1, 0, 1], "distinct"),
+        ([0, 1, 2], "full transpose"),
+    ])
+    def test_bad_block_same_error_for_both_inputs(self, block, message):
+        prov = family_state("ghz-iso", n=3, alpha=0.5, representation="provider")
+        errors = []
+        for state in (prov, prov.to_dense()):
+            with pytest.raises(DomainError, match=message) as info:
+                ppt_check(state, block)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_other_inputs_rejected(self):
+        prov = family_state("ghz-iso", n=3, alpha=0.5, representation="provider")
+        with pytest.raises(DomainError, match="MixtureProvider"):
+            ppt_check(FlippedProvider(prov), [0])
+
+
+def _proper_blocks(n):
+    return [list(b) for r in range(1, n) for b in combinations(range(n), r)]
+
+
+class TestPptOnSupport:
+    """ppt_check on a MixtureProvider against the dense spectrum path."""
+
+    @pytest.mark.parametrize("family, kwargs", [
+        ("ghz-iso", dict(n=3, alpha=0.3)),
+        ("ghz-iso", dict(n=4, d=4, alpha=0.02)),
+        ("ghz-iso", dict(n=5, d=3, alpha=0.7)),
+        ("dicke-iso", dict(n=6, m=3, p=0.4)),
+        ("dicke-iso", dict(n=5, m=2, p=0.9)),
+        ("dicke-iso", dict(n=4, m=1, d=3, p=0.6)),
+        ("dicke-iso", dict(n=5, m=2, d=3, p=0.3)),
+        ("dicke-iso", dict(n=4, m=2, d=4, p=0.5)),
+        ("ghz-w", dict(n=5, alpha=0.2, beta=0.5)),
+        ("ghz-w", dict(n=6, alpha=0.45, beta=0.1)),
+        ("gmd", dict(n=4, d=3, alpha=0.3, beta=0.4)),
+        ("gmd", dict(n=3, d=4, alpha=0.1, beta=0.6)),
+        # no noise
+        ("dicke-iso", dict(n=4, m=2, p=1.0)),
+        ("gmd", dict(n=3, d=3, alpha=0.6, beta=0.4)),
+        # a zero-weight term
+        ("ghz-w", dict(n=4, alpha=0.5, beta=0.0)),
+        ("ghz-w", dict(n=4, alpha=0.0, beta=0.7)),
+    ])
+    def test_equals_dense_on_every_proper_block(self, family, kwargs):
+        prov = family_state(family, representation="provider", **kwargs)
+        rho = prov.to_dense()
+        assert rho.shape.total <= 256
+        for block in _proper_blocks(prov.shape.n):
+            assert ppt_check(prov, block).value == pytest.approx(
+                ppt_check(rho, block).value, rel=0, abs=1e-14)
+
+    def test_pure_noise(self):
+        # alpha = 0 leaves no support: every eigenvalue is 1/D
+        for n, d in ((3, 2), (4, 3), (20, 2)):
+            prov = family_state("ghz-iso", n=n, d=d, alpha=0.0, representation="provider")
+            assert ppt_check(prov, [0]).value == pytest.approx(-1 / d ** n, rel=1e-15)
+
+    def test_support_covering_every_index(self):
+        # Bell-diagonal weights q: the partial transpose has eigenvalues
+        # 1/2 - q, all positive, on S = all four indices, so no zero joins them
+        weights = {"phi+": 0.4, "phi-": 0.3, "psi+": 0.2, "psi-": 0.1}
+        terms = []
+        for label, w in weights.items():
+            psi = bell_state(label)
+            terms.append((w, {mi: psi.amplitude(mi) for mi in
+                              ((0, 0), (0, 1), (1, 0), (1, 1)) if psi.amplitude(mi)}))
+        prov = MixtureProvider(qubits(2), terms)
+        support, _ = prov.low_rank_partial_transpose([0])
+        assert len(support) == 4
+        for block in ([0], [1]):
+            value = ppt_check(prov, block).value
+            assert value == pytest.approx(-0.1, abs=1e-15)
+            assert value == pytest.approx(ppt_check(prov.to_dense(), block).value,
+                                          rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("n, d", [(20, 2), (8, 4)])
+    def test_closed_form_beyond_the_dense_cap(self, n, d):
+        for alpha in (0.0, 1 / (d ** (n - 1) + 1), 0.37, 1.0):
+            prov = family_state("ghz-iso", n=n, d=d, alpha=alpha, representation="provider")
+            for block in ([0], list(range(n // 2)), [n - 1]):
+                assert ppt_check(prov, block).value == pytest.approx(
+                    alpha / d - (1 - alpha) / d ** n, rel=0, abs=1e-12)
+
+    def test_cap_bounds_the_squared_support(self):
+        # C(12, 6) = 924 support indices
+        prov = family_state("dicke-iso", n=12, m=6, p=0.5, representation="provider")
+        with pytest.raises(ResourceError, match="853776 entries"):
+            ppt_check(prov, [0])
+        prov = family_state("dicke-iso", n=6, m=3, p=0.5, representation="provider")
+        with pytest.raises(ResourceError, match="s\\^2 = 400 entries .* cap 399"):
+            ppt_check(prov, [0], max_dim=399)
+        assert ppt_check(prov, [0], max_dim=400).value == pytest.approx(
+            ppt_check(prov.to_dense(), [0]).value, rel=0, abs=1e-14)
 
 
 class TestBipartite:
