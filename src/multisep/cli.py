@@ -497,7 +497,11 @@ def build_parser():
     p.add_argument("--kT", type=float, default=None)
     p.add_argument("--ks", type=_int_list, default=None,
                    help="comma-separated k values (default 2..n)")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=32,
+                   help="random product-state starts per searched partition; the search "
+                        "covers one k-partition per orbit of the lattice's rotations and "
+                        "reflections, and a non-convergence warning names those orbit "
+                        "representatives (default 32)")
     p.set_defaults(func=cmd_manybody)
 
     p = sub.add_parser("qss", help="quantum secret sharing simulation/verification")
@@ -548,3 +552,6 @@ def main(argv=None):
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return 4

@@ -7,15 +7,20 @@ bound is certified k-inseparable (the k = 2 interval is the GME gap).
 A SpinHamiltonian holds the lattice and couplings; one cached
 eigendecomposition of its dense matrix gives E_0, Z and the Gibbs and
 ground states, and small site-block Hamiltonians give E_ksep: the
-least energy over product states of each canonical k-partition, found
+least energy over product states of the canonical k-partitions, found
 from seeded random product states by sweeps of exact block ground-state
 updates (each block's Hamiltonian plus the mean field of its
 neighbours' Bloch vectors), Anderson-accelerated on those Bloch vectors
 and guarded so that only sweeps that do not raise the energy are kept.
-Partitions with the same ordered block sizes are swept together as one
-batch.  Every energy reported is that of an actual product state, so
-the result is an upper bound on the true constrained minimum; detection
-keeps a slack margin in the conservative direction.
+The couplings and the field are uniform, so H commutes with every
+automorphism of the lattice, and all partitions in one orbit of the
+lattice's rotations and reflections (Lattice.automorphisms) have the
+same product-state minimum: the search covers one partition per orbit,
+the least one, with `restarts` random starts each.  Partitions with the
+same ordered block sizes are swept together as one batch.  Every energy
+reported is that of an actual product state, so the result is an upper
+bound on the true constrained minimum; detection keeps a slack margin
+in the conservative direction.
 """
 
 from __future__ import annotations
@@ -77,6 +82,34 @@ class Lattice:
         if n < 3:
             raise DomainError("a ring needs at least 3 sites")
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def adjacency(self):
+        """The n x n adjacency matrix, 1.0 on the edges and 0.0 elsewhere."""
+        adj = np.zeros((self.n, self.n))
+        for i, j in self.edges:
+            adj[i, j] = adj[j, i] = 1.0
+        return adj
+
+    def automorphisms(self):
+        """Site permutations that map the edges onto themselves, one row p
+        per permutation (site i -> p[i]), the identity first.
+
+        Only the n rotations i -> (i + s) mod n and the n reflections
+        i -> (s - i) mod n are tried, with no graph search: a ring keeps
+        its dihedral group, a chain the identity and its reflection, any
+        other lattice at least the identity.  The rows that survive form
+        a group, a subgroup of the lattice's automorphism group.
+        """
+        n = self.n
+        sites = np.arange(n)
+        shifts = sites[:, None]
+        candidates = (shifts + sites) % n
+        if n > 2:  # else every reflection is a rotation
+            candidates = np.concatenate([candidates, (shifts - sites) % n])
+        adj = self.adjacency()
+        # p maps edges onto edges iff adj[p[a], p[b]] = adj[a, b] for all a, b
+        kept = (adj[candidates[:, :, None], candidates[:, None, :]] == adj).all(axis=(1, 2))
+        return candidates[kept]
 
 
 @dataclass(frozen=True)
@@ -177,7 +210,14 @@ class SpinHamiltonian:
         `self` lives, even for E_0 alone.  Within a degenerate level the
         eigenvectors are whichever LAPACK returns."""
         if "spectrum" not in self._built:
-            evals, evecs = np.linalg.eigh(self.dense())
+            try:
+                evals, evecs = np.linalg.eigh(self.dense())
+            except np.linalg.LinAlgError:
+                # LAPACK's divide and conquer (dsyevd) can fail on an
+                # ordinary symmetric matrix; retry by relatively robust
+                # representations (dsyevr), a different algorithm
+                from scipy.linalg import eigh
+                evals, evecs = eigh(self.dense(), driver="evr")
             evals.flags.writeable = evecs.flags.writeable = False  # shared by every caller
             self._built["spectrum"] = evals, evecs
         return self._built["spectrum"]
@@ -223,8 +263,8 @@ def ground_state_dm(ham):
 
 @dataclass(frozen=True)
 class ProductMinimum:
-    """Least product-state energy found, and the partitions whose search
-    had not stopped when it hit max_iter."""
+    """Least product-state energy found, and the partitions (orbit
+    representatives) whose search had not stopped when it hit max_iter."""
 
     energy: float
     nonconverged: tuple = ()
@@ -246,6 +286,35 @@ def _site_paulis(size):
     ])
     out.flags.writeable = False  # cached and shared
     return out
+
+
+def _ground_pairs(heff):
+    """Least eigenvalue and a ground vector of each Hermitian matrix in
+    the batch heff, from one batched np.linalg.eigh.
+
+    LAPACK can fail to converge on an ordinary finite Hermitian matrix
+    (LinAlgError).  The batch is then solved matrix by matrix, and a
+    matrix that fails again goes through its real-symmetric embedding
+    [[Re, -Im], [Im, Re]]: that has the same eigenvalues, each twice,
+    and a ground vector (u, v) of it gives the ground vector u + i v.
+    """
+    try:
+        evals, evecs = np.linalg.eigh(heff)
+        return evals[:, 0], evecs[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    values = np.empty(len(heff))
+    vectors = np.empty(heff.shape[:2], dtype=complex)
+    for r, mat in enumerate(heff):
+        try:
+            evals, evecs = np.linalg.eigh(mat)
+            values[r], vectors[r] = evals[0], evecs[:, 0]
+        except np.linalg.LinAlgError:
+            d = len(mat)
+            evals, evecs = np.linalg.eigh(np.block([[mat.real, -mat.imag],
+                                                    [mat.imag, mat.real]]))
+            values[r], vectors[r] = evals[0], evecs[:d, 0] + 1j * evecs[d:, 0]
+    return values, vectors
 
 
 def _chunk_len(sizes, restarts):
@@ -297,9 +366,7 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
     restarts = starts[0].shape[1]
     row_part = np.repeat(np.arange(len(parts)), restarts)
     orders = np.array([sum(part.blocks, ()) for part in parts])
-    adj = np.zeros((ham.n, ham.n))
-    for i, j in ham.lattice.edges:
-        adj[i, j] = adj[j, i] = 1.0
+    adj = ham.lattice.adjacency()
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     adj = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] != block_of)
     adj = adj[row_part]
@@ -321,9 +388,9 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
             d = block_hams[j].shape[-1]
             heff = (field.reshape(len(x), -1) @ paulis[j]).reshape(len(x), d, d)
             heff += block_hams[j][row_part]
-            evals, evecs = np.linalg.eigh(heff)
-            g[:, sl] = bloch_vectors(j, evecs[..., 0])
-            energy += evals[:, 0] - np.sum(field * g[:, sl], axis=(1, 2))
+            ground, vectors = _ground_pairs(heff)
+            g[:, sl] = bloch_vectors(j, vectors)
+            energy += ground - np.sum(field * g[:, sl], axis=(1, 2))
         energy += 0.5 * np.sum(coupling * (adj @ g) * g, axis=(1, 2))
         return g.reshape(len(x), -1), energy
 
@@ -386,8 +453,13 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     """Minimal energy over k-separable states (upper bound by local search).
 
     `ham` is a SpinHamiltonian.  Minimises <psi|H|psi> over product
-    states of every canonical k-partition by sweeps of exact block
-    ground-state updates, each block in the mean field of its
+    states of one canonical k-partition per orbit of the lattice's
+    automorphisms (ham.lattice.automorphisms()), the least partition of
+    each orbit: H commutes with those site permutations, so every
+    partition of an orbit has the same minimum.  `restarts` counts the
+    random starts per orbit, where searching every partition gave an
+    orbit |orbit| * restarts starts.  The search runs by sweeps of exact
+    block ground-state updates, each block in the mean field of its
     neighbours' Bloch vectors, accelerated by Anderson mixing on those
     Bloch vectors (see _sweep_batch).  An accelerated sweep that would
     raise a restart's energy is rejected and replaced by a plain sweep,
@@ -399,19 +471,22 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     Partitions with the same ordered block sizes (every (4, 2)
     bipartition, say) are swept as one batch, all restarts together,
     in chunks of at most _CHUNK_BYTES (see _chunk_len).
-    Start states are drawn from the seeded generator per partition in
-    enumeration order and per block, so each (partition, restart)
-    starts exactly where a one-partition-at-a-time search would.
+    Start states are drawn from the seeded generator per searched
+    partition in enumeration order and per block, so each (partition,
+    restart) starts exactly where a one-partition-at-a-time search over
+    the same partitions would.  A batched block eigensolve that LAPACK
+    fails on is redone matrix by matrix (see _ground_pairs).
 
     tol bounds the fixed-point residual: a restart stops once one sweep
     moves no Bloch vector component by more than tol, or, whatever tol
     is, once its best energy has not changed at all over the last
     _DEPTH sweeps (a block whose ground level is degenerate has Bloch
     vectors that never settle, and its energy goes flat instead).  A
-    partition whose restarts have not all stopped after max_iter sweeps
-    keeps its best value and is named in `nonconverged`.  A known lower
-    bound (the exact ground energy) ends the search, checked after every
-    batch, once the best energy over the partitions up to some point in
+    searched partition whose restarts have not all stopped after max_iter
+    sweeps keeps its best value and is named in `nonconverged`, so that
+    names orbit representatives only.  A known lower bound (the exact
+    ground energy) ends the search, checked after every batch, once the
+    best energy over the searched partitions up to some point in
     enumeration order is within tol of it; the result then covers exactly
     those partitions, as a one-partition-at-a-time search would.
     """
@@ -450,7 +525,8 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
         return False
 
     pending = {}  # block sizes -> [(index, partition, start states)]
-    for index, part in enumerate(iter_k_partitions(n, k)):
+    for index, part in enumerate(
+            iter_k_partitions(n, k, symmetries=ham.lattice.automorphisms())):
         starts = []
         for block in part.blocks:
             dim = 2 ** len(block)
@@ -475,7 +551,8 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
 @dataclass
 class GapReport:
     """Ground energy, per-k product-state minima and the implied gaps;
-    nonconverged[k] names the partitions whose search hit max_iter."""
+    nonconverged[k] names the searched partitions (orbit representatives)
+    whose search hit max_iter."""
 
     hamiltonian: SpinHamiltonian
     e0: float

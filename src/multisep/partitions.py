@@ -4,7 +4,9 @@ A k-partition of {0, ..., n-1} is kept in canonical form: blocks are
 internally sorted, pairwise disjoint, cover the full label set, and are
 ordered by their smallest element -- so label 0 always sits in block 0.
 This keeps exactly one representative per partition and avoids the
-k!-fold degeneracy of enumerating ordered block tuples.
+k!-fold degeneracy of enumerating ordered block tuples.  Under a group
+of site permutations the enumeration can also keep one partition per
+orbit (orbit_representatives).
 """
 
 from __future__ import annotations
@@ -83,16 +85,23 @@ def bell_number(n):
     return sum(stirling2(n, k) for k in range(1, n + 1))
 
 
-def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):
+def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP, symmetries=None):
     """Yield every canonical k-partition of {0, ..., n-1}.
 
     Deterministic restricted-growth-string order; streaming, so criteria
     can fold over partitions without materialising the list.  Raises
     ResourceError (carrying the count) if S(n,k) exceeds the cap.  A
     Partition view of k_partition_rows.
+
+    `symmetries`, if given, is a group of site permutations, one row p
+    per element (site i -> p[i]); then only the least partition of each
+    orbit is yielded (see orbit_representatives), still in enumeration
+    order.  The cap applies to S(n,k), all partitions enumerated.
     """
     n, k = _check_nk(n, k)
     for chunk in k_partition_rows(n, k, cap):
+        if symmetries is not None:
+            chunk = orbit_representatives(chunk, symmetries)
         for row in chunk.tolist():
             blocks = [[] for _ in range(k)]
             for label, b in enumerate(row):
@@ -138,6 +147,44 @@ def k_partition_rows(n, k, cap=DEFAULT_ENUMERATION_CAP, rows=1 << 14):
         used = opened[r, b]
         for start in reversed(range(0, len(prefix), rows)):
             stack.append((prefix[start:start + rows], used[start:start + rows]))
+
+
+def _relabelled(rows):
+    """rows with their blocks renumbered in order of first occurrence,
+    the restricted-growth form of the same partitions."""
+    m, n = rows.shape
+    at = np.arange(m)
+    number = np.full((m, n), -1, dtype=rows.dtype)  # [r, b]: block b's new number
+    opened = np.zeros(m, dtype=rows.dtype)
+    out = np.empty_like(rows)
+    for i in range(n):
+        block = rows[:, i]
+        fresh = number[at, block] < 0
+        number[at[fresh], block[fresh]] = opened[fresh]
+        opened += fresh
+        out[:, i] = number[at, block]
+    return out
+
+
+def orbit_representatives(rows, symmetries):
+    """The restricted-growth rows that are lexicographically least among
+    their images under the site permutations `symmetries`.
+
+    Each image permutes the columns of a row by one permutation and
+    renumbers its blocks by first occurrence.  Rows are compared column
+    by column, never as integer keys, which would overflow for large k
+    and n.  Over a group the least row of an orbit is kept and no other;
+    for any set of permutations the least row of an orbit is no greater
+    than any of its images, so every orbit keeps at least one row.
+    """
+    rows = np.asarray(rows)
+    perms = np.asarray(symmetries, dtype=np.intp).reshape(-1, rows.shape[1])
+    keep = np.ones(len(rows), dtype=bool)
+    for perm in perms[(perms != np.arange(rows.shape[1])).any(axis=1)]:  # not the identity
+        diff = _relabelled(rows[:, perm]) - rows
+        first = (diff != 0).argmax(axis=1)  # column 0 where the two are equal
+        keep &= diff[np.arange(len(rows)), first] >= 0
+    return rows[keep]
 
 
 def unique_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):

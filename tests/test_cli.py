@@ -421,9 +421,23 @@ class TestManybodyCli:
         assert len(cut.out.splitlines()) == 2
         lines = cut.err.splitlines()
         assert len(lines) == 2
-        for line, k, parts in zip(lines, (2, 3), ("{0|123}", "{0|1|23}")):
+        # one representative per orbit of the ring's dihedral group
+        for line, k, parts in zip(lines, (2, 3), ("{012|3} {01|23} {02|13}",
+                                                  "{01|2|3} {02|1|3}")):
             assert line.startswith(f"warning: product-state minimisation for k={k} at h=0 ")
-            assert parts in line
+            assert line.endswith(f" partitions {parts}")
+
+    def test_lapack_failure_exits_4(self, capsys, monkeypatch):
+        """np.linalg.eigh failing on every matrix defeats the sweep's
+        fallback through the real embedding too."""
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["manybody", "--n", "4", "--ks", "2", "--restarts", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non-convergence: Eigenvalues did not converge\n"
 
     @pytest.mark.parametrize("kT", [[], ["--kT", "0.5"]])
     def test_one_eigh_of_the_hamiltonian_per_field_value(self, capsys, monkeypatch, kT):

@@ -52,6 +52,38 @@ class TestLattice:
             with pytest.raises(DomainError, match="at least one site"):
                 Lattice.chain(n)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_automorphisms(self, n):
+        """A ring keeps its dihedral group, a chain its reflection, and any
+        lattice a group of edge maps that starts with the identity."""
+        lattices = [(Lattice.chain(n), 2 if n > 1 else 1)]
+        if n >= 3:
+            lattices.append((Lattice.ring(n), 2 * n))
+        lattices.append((Lattice(n, [(i, i + 1) for i in range(0, n - 1, 2)]), None))
+        for lattice, order in lattices:
+            group = lattice.automorphisms()
+            assert group[0].tolist() == list(range(n))
+            if order is not None:
+                assert len(group) == order, lattice
+            perms = {tuple(p) for p in group.tolist()}
+            assert len(perms) == len(group)
+            assert all(tuple(a[b]) in perms for a in group for b in group)
+            for perm in group:
+                assert {tuple(sorted((perm[i], perm[j]))) for i, j in lattice.edges} == set(
+                    lattice.edges)
+
+    def test_automorphisms_commute_with_h(self):
+        for lattice in (Lattice.ring(5), Lattice.chain(4),
+                        Lattice(4, [(0, 1), (0, 2), (2, 3)])):
+            ham = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(0.3, h=0.7))
+            n = lattice.n
+            h_t = ham.dense().reshape((2,) * 2 * n)
+            group = lattice.automorphisms()
+            assert len(group) > 1
+            for perm in group:
+                axes = list(perm) + [n + q for q in perm]
+                assert np.max(np.abs(h_t.transpose(axes) - h_t)) < 1e-12, (lattice, perm)
+
     def test_gamma_preset(self):
         p = HeisenbergParams.from_gamma(0.5, h=1.0)
         assert (p.jx, p.jy, p.jz, p.h) == (1.0, 0.5, 0.0, 1.0)
@@ -185,6 +217,19 @@ class TestSpinHamiltonian:
         assert np.max(np.abs((evecs * evals) @ evecs.conj().T - ham.dense())) < 1e-12
         report = entanglement_gaps(ham, ks=[1])
         assert report.e0 == report.energies[1] == min_ksep_energy(ham, 1).energy == evals[0]
+
+    def test_spectrum_survives_a_lapack_failure(self, monkeypatch):
+        ham = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.3, h=0.2))
+        want = np.linalg.eigvalsh(ham.dense())
+
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        evals, evecs = ham.spectrum()
+        assert np.max(np.abs(evals - want)) < 1e-12
+        assert evecs.dtype == np.float64
+        assert np.max(np.abs((evecs * evals) @ evecs.T - ham.dense())) < 1e-12
 
     def test_bad_block(self):
         ham = SpinHamiltonian(Lattice.chain(3), HeisenbergParams())
@@ -341,6 +386,97 @@ class TestMinKsepEnergy:
         for restarts in (0, -1):
             with pytest.raises(DomainError, match="restarts must be at least 1"):
                 min_ksep_energy(h, 2, restarts=restarts)
+
+
+ORBIT_GRID = [(lattice, n, params, seeds)
+              for lattice in (Lattice.ring, Lattice.chain)
+              for params in (HeisenbergParams.from_gamma(0.0),
+                             HeisenbergParams.from_gamma(0.3, h=0.7))
+              for n, seeds in ((3, (0, 1, 2)), (4, (0, 1, 2)), (5, (0,)))]
+ORBIT_GRID += [(Lattice.ring, 6, HeisenbergParams.from_gamma(0.0), (0,)),
+               (Lattice.chain, 6, HeisenbergParams.from_gamma(0.3, h=0.7), (0,))]
+
+
+class TestOrbitSearch:
+    """min_ksep_energy searches one partition per lattice-automorphism
+    orbit, with `restarts` starts for each."""
+
+    @pytest.mark.parametrize("lattice,n,params,seeds", ORBIT_GRID, ids=[
+        f"{case[0].__name__}-{case[1]}-{case[2].jz}-{case[2].h}" for case in ORBIT_GRID])
+    def test_matches_the_full_search(self, lattice, n, params, seeds):
+        ham = SpinHamiltonian(lattice(n), params)
+        orbit = {(k, seed): min_ksep_energy(ham, k, restarts=4, seed=seed)
+                 for k in range(2, n + 1) for seed in seeds}
+        with pytest.MonkeyPatch.context() as patch:
+            # the identity group: every partition is searched
+            patch.setattr(Lattice, "automorphisms", lambda self: np.arange(self.n)[None])
+            for (k, seed), ours in orbit.items():
+                full = min_ksep_energy(ham, k, restarts=4, seed=seed)
+                assert abs(ours.energy - full.energy) <= 1e-10, (k, seed, ours, full)
+                assert ours.converged and full.converged, (k, seed)
+
+    def test_nonconverged_names_the_representatives(self):
+        for lattice in (Lattice.ring(6), Lattice.chain(5)):
+            ham = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(0.0))
+            group = lattice.automorphisms()
+            for k in range(2, lattice.n):
+                res = min_ksep_energy(ham, k, restarts=2, seed=0, max_iter=1)
+                assert res.nonconverged == tuple(
+                    iter_k_partitions(lattice.n, k, symmetries=group))
+                assert len(res.nonconverged) < len(list(iter_k_partitions(lattice.n, k)))
+
+
+class TestLapackFailure:
+    """np.linalg.eigh can raise LinAlgError on an ordinary Hermitian
+    matrix; the sweep redoes the failing matrices through the real
+    embedding [[Re, -Im], [Im, Re]]."""
+
+    @staticmethod
+    def _failing_on(monkeypatch, bad):
+        """np.linalg.eigh raising on every complex batch or matrix that
+        holds a matrix of the list `bad` (if empty, the last matrix of the
+        first batch) and solving the others; returns the shapes of the
+        real matrices it solved."""
+        eigh = np.linalg.eigh
+        real_calls = []
+
+        def flaky(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 3 and not bad:
+                bad.append(a[-1].copy())
+            if not np.iscomplexobj(a):
+                real_calls.append(a.shape)
+            elif any(a.shape[-2:] == m.shape and any(np.array_equal(row, m) for row in
+                                                     a.reshape(-1, *m.shape)) for m in bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+        return real_calls
+
+    def test_failing_row_gets_its_ground_vector(self, monkeypatch, rng):
+        d = 8
+        heff = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        heff += heff.conj().transpose(0, 2, 1)
+        want_values, want_vectors = np.linalg.eigh(heff)
+        real_calls = self._failing_on(monkeypatch, [heff[3]])
+        values, vectors = manybody._ground_pairs(heff)
+        assert real_calls == [(2 * d, 2 * d)]
+        assert np.max(np.abs(values - want_values[:, 0])) < 1e-12
+        overlaps = np.abs(np.einsum("ri,ri->r", want_vectors[..., 0].conj(), vectors))
+        assert np.max(np.abs(overlaps - 1)) < 1e-12
+        assert np.max(np.abs(np.einsum("rij,rj->ri", heff, vectors)
+                             - values[:, None] * vectors)) < 1e-12
+
+    def test_search_survives_one_failure(self, monkeypatch):
+        """One row of the first sweep fails in the batch and alone; the
+        search ends where it does without the failure."""
+        ham = SpinHamiltonian(Lattice.ring(5), HeisenbergParams.from_gamma(0.3, h=0.7))
+        want = min_ksep_energy(ham, 2, restarts=2, seed=1)
+        real_calls = self._failing_on(monkeypatch, [])
+        got = min_ksep_energy(ham, 2, restarts=2, seed=1)
+        assert real_calls
+        assert got.converged and abs(got.energy - want.energy) < 1e-12
 
 
 class TestGapChain:

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisep import (
     DomainError,
+    Lattice,
     Partition,
     ResourceError,
     bell_number,
@@ -13,7 +15,7 @@ from multisep import (
     stirling2,
     unique_k_partitions,
 )
-from multisep.partitions import k_partition_rows
+from multisep.partitions import k_partition_rows, orbit_representatives
 
 
 def enumerate_partitions_reference(n):
@@ -168,3 +170,83 @@ class TestPartitionType:
 
     def test_str(self):
         assert str(Partition([(0,), (1, 2)])) == "{0|12}"
+
+
+def _image(blocks, perm):
+    """The partition of sites perm[i] that `blocks` makes of sites i."""
+    return frozenset(frozenset(int(perm[x]) for x in block) for block in blocks)
+
+
+def _lattices(n):
+    """Ring, chain and a custom lattice of n sites, as
+    (name, automorphism rows) pairs."""
+    lattices = [("chain", Lattice.chain(n))]
+    if n >= 3:
+        lattices.append(("ring", Lattice.ring(n)))
+    # a star of two spokes plus a tail: only a few dihedral maps survive
+    lattices.append(("custom", Lattice(n, [(0, i) for i in range(1, min(n, 3))]
+                                       + [(i, i + 1) for i in range(2, n - 1)])))
+    return [(name, lattice.automorphisms()) for name, lattice in lattices]
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_orbit_exactly_once(self, n):
+        for name, group in _lattices(n):
+            for k in range(1, n + 1):
+                orbits = {frozenset(_image(p.blocks, perm) for perm in group)
+                          for p in iter_k_partitions(n, k)}
+                kept = [frozenset(_image(p.blocks, perm) for perm in group)
+                        for p in iter_k_partitions(n, k, symmetries=group)]
+                assert len(kept) == len(set(kept)), (name, n, k)
+                assert set(kept) == orbits, (name, n, k)
+
+    def test_kept_rows_are_in_enumeration_order(self):
+        group = Lattice.ring(7).automorphisms()
+        for k in range(1, 8):
+            order = {p: i for i, p in enumerate(iter_k_partitions(7, k))}
+            positions = [order[p] for p in iter_k_partitions(7, k, symmetries=group)]
+            assert positions == sorted(positions)
+
+    @pytest.mark.parametrize("n,counts", [
+        (6, {2: 7, 3: 14, 4: 11, 5: 3, 6: 1}),
+        (8, {4: 137}),
+        (10, {2: 43, 3: 538, 5: 2271}),
+    ])
+    def test_dihedral_orbit_counts(self, n, counts):
+        group = Lattice.ring(n).automorphisms()
+        for k, count in counts.items():
+            assert sum(1 for _ in iter_k_partitions(n, k, symmetries=group)) == count
+
+    def test_trivial_group_keeps_every_row(self):
+        # a path 0-1-2-3 with a pendant site 4 on site 1: no rotation or
+        # reflection maps its edges onto themselves
+        group = Lattice(5, [(0, 1), (1, 2), (2, 3), (1, 4)]).automorphisms()
+        assert group.tolist() == [[0, 1, 2, 3, 4]]
+        for k in range(1, 6):
+            assert list(iter_k_partitions(5, k, symmetries=group)) == list(
+                iter_k_partitions(5, k))
+
+    def test_no_symmetries_is_the_plain_enumeration(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                want = [tuple(tuple(i for i, b in enumerate(s) if b == block)
+                              for block in range(k))
+                        for s in restricted_growth_reference(n, k)]
+                assert [p.blocks for p in iter_k_partitions(n, k, symmetries=None)] == want
+
+    def test_compares_columns_past_integer_keys(self):
+        """At n = 20, k = 19 a base-k key of a row needs 19^20 > 2^63."""
+        from multisep import Lattice
+        n, k = 20, 19
+        group = Lattice.ring(n).automorphisms()
+        rows = np.concatenate(list(k_partition_rows(n, k)))
+
+        def relabel(row):
+            number = {}
+            return tuple(number.setdefault(b, len(number)) for b in row)
+
+        want = [row for row in rows.tolist()
+                if all(tuple(row) <= relabel([row[p] for p in perm]) for perm in group)]
+        assert orbit_representatives(rows, group).tolist() == want
+        assert len(want) == 10  # one pair of sites, 1 to 10 apart
