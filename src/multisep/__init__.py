@@ -71,9 +71,11 @@ from .manybody import (
     entanglement_gaps,
     gap_witness_detects,
     ground_state_dm,
+    ground_vector,
     heisenberg_hamiltonian,
     min_ksep_energy,
     partition_function,
+    thermal_energy,
     thermal_state,
 )
 from .applications import (

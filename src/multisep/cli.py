@@ -299,12 +299,9 @@ def cmd_manybody(args):
                 warnings.append(
                     f"warning: product-state minimisation for k={k} at h={_fmt(float(h))} "
                     f"did not converge in partitions {' '.join(map(str, parts))}")
-        rho = manybody.thermal_state(ham, args.kT)
-        detected = 0
-        for k in sorted(ks):
-            if manybody.gap_witness_detects(rho, report, k):
-                detected = k
-        cgme = measures.cgme_pure(StateVector(rho.shape, ham.spectrum()[1][:, 0])).value
+        energy = manybody.thermal_energy(ham, args.kT)
+        detected = max((k for k in ks if report.detects(energy, k)), default=0)
+        cgme = measures.cgme_pure(manybody.ground_vector(ham)).value
         row = [h, args.gamma, args.kT if args.kT is not None else 0.0, report.e0]
         row += [report.energies[k] for k in ks]
         row += [detected, cgme]
@@ -483,11 +480,13 @@ def build_parser():
 
     p = sub.add_parser(
         "manybody", help="entanglement gaps of a Heisenberg lattice",
-        description="Entanglement gaps of a Heisenberg lattice.  cgme_ground is the "
-                    "GME-concurrence of the first ground eigenvector that LAPACK returns; "
-                    "where the ground level is degenerate (odd rings) that vector, and so "
-                    "the value, depends on the LAPACK build, its thread count and the "
-                    "matrix's dtype.")
+        description="Entanglement gaps of a Heisenberg lattice.  detected_k is the largest "
+                    "k whose E_ksep lies above the energy of the Gibbs state at --kT (of the "
+                    "ground level without it) by more than the optimiser slack.  "
+                    "cgme_ground is the GME-concurrence of the ground state P e_x / |P e_x|, "
+                    "where P projects onto the ground level (eigenvalues within 1e-9 of E0) "
+                    "and x is the basis index with the largest P_xx, the smallest such x on "
+                    "ties within 1e-9; so it is defined on a degenerate ground level too.")
     _add_common(p, "n", "seed")
     p.add_argument("--lattice", choices=["chain", "ring"], default="ring")
     p.add_argument("--gamma", type=float, default=0.0)

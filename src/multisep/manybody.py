@@ -4,9 +4,15 @@ The Hamiltonian of a set of spin-1/2 sites with nearest-neighbour
 couplings is used as its own entanglement witness: every k-separable
 state has energy at least E_ksep, so any state with energy below that
 bound is certified k-inseparable (the k = 2 interval is the GME gap).
-A SpinHamiltonian holds the lattice and couplings; one cached
-eigendecomposition of its dense matrix gives E_0, Z and the Gibbs and
-ground states, and small site-block Hamiltonians give E_ksep: the
+A SpinHamiltonian holds the lattice and couplings.  H commutes with the
+parity prod_i Z_i, and at Jx = Jy also with the total magnetisation, so
+its spectrum is solved sector by sector: one real-symmetric eigensolve
+per popcount (Jx = Jy) or popcount-parity sector, each block built
+bitwise on the sector's basis indices.  E_0, Z, the thermal energy
+tr(rho_kT H) = sum_i p_i E_i and a ground vector come from those
+blocks, so none of them needs a 2^n x 2^n matrix; the Gibbs and ground
+states are scattered together from them for callers who ask for a
+density matrix.  Small site-block Hamiltonians give E_ksep: the
 least energy over product states of the canonical k-partitions, found
 from seeded random product states by sweeps of exact block ground-state
 updates (each block's Hamiltonian plus the mean field of its
@@ -21,24 +27,32 @@ same ordered block sizes are swept together as one batch.  Every energy
 reported is that of an actual product state, so the result is an upper
 bound on the true constrained minimum; detection keeps a slack margin
 in the conservative direction.
+
+References: H. Q. Lin, PRB 42, 6561 (1990) (exact diagonalisation by
+conserved sectors); G. Toth, PRA 71, 010301 (2005) (energy witnesses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .applications import PAULI
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, _check_dense_dim, kron_all, qubits
+from .tensor import DensityMatrix, StateVector, _check_dense_dim, kron_all, qubits
 # hermitian_spectrum is not called here; perfbench/tracer.py wraps it on this module.
 from .tensor import hermitian_spectrum  # noqa: F401
 
 DEFAULT_OPT_SLACK = 1e-6
 _DEGENERACY_TOL = 1e-9  # eigenvalues within this of E_0 span the ground manifold
+
+# Bytes the largest conserved sector's float64 block and eigenvectors may
+# take in SpinHamiltonian.spectrum().
+_SECTOR_BYTES = 1 << 31
 
 # Bytes of block and effective Hamiltonians and per-restart sweep state
 # one batch of partitions may hold; a partition that alone needs more
@@ -129,47 +143,75 @@ class HeisenbergParams:
         return cls(1.0, 1.0 - gamma, 1.0 - 2.0 * gamma, h)
 
 
-def _site_bits(n):
-    """bits[x, i]: the bit of site i in basis state x, site 0 the most
+def _site_bits(x, n):
+    """bits[r, i]: the bit of site i in basis state x[r], site 0 the most
     significant as in kron order."""
-    x = np.arange(2 ** n)
     return (x[:, None] >> (n - 1 - np.arange(n))) & 1
 
 
-def heisenberg_hamiltonian(lattice, params):
-    """Dense spin-1/2 Hamiltonian
-    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i, as float64.
+def heisenberg_hamiltonian(lattice, params, indices=None):
+    """Spin-1/2 Hamiltonian
+    H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i, as float64:
+    the dense 2^n x 2^n matrix, or with `indices` (sorted distinct basis
+    indices of a set that H maps into itself, such as a conserved sector)
+    its block on those basis states, rows and columns in that order.
 
     Built bitwise in the computational basis: ZZ and the field sit on
     the diagonal, and XX + YY flips bits i and j of |x> with amplitude
     (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1; every
-    entry is real.
-    2^n is checked before allocating against the package's one dense
-    cap, tensor.DEFAULT_MAX_DENSE_DIM = 2^14 (ResourceError above n = 14).
+    entry is real.  The flipped state's row is found by searchsorted in
+    the index set; a flip with nonzero amplitude that leaves the set is a
+    DomainError.  The matrix dimension is checked before allocating
+    against the package's one dense cap, tensor.DEFAULT_MAX_DENSE_DIM =
+    2^14 (ResourceError for the dense matrix above n = 14).
     """
     n = lattice.n
-    _check_dense_dim(2 ** n, None)
-    dim = 2 ** n
-    x = np.arange(dim)
-    z = 1.0 - 2.0 * _site_bits(n)
+    if indices is None:
+        _check_dense_dim(2 ** n, None)
+        x = np.arange(2 ** n)
+    else:
+        x = np.asarray(indices, dtype=np.int64).reshape(-1)
+        _check_dense_dim(len(x), None)
+        if not len(x) or x[0] < 0 or x[-1] >= 2 ** n or np.any(np.diff(x) <= 0):
+            raise DomainError(f"indices must be sorted distinct basis indices of {n} sites")
+    dim = len(x)
+    edges = np.array(lattice.edges, dtype=np.int64).reshape(-1, 2)
+    z = 1.0 - 2.0 * _site_bits(x, n)
+    zz = z[:, edges[:, 0]] * z[:, edges[:, 1]]  # [r, e]: z_i z_j of edge e in state x[r]
     h_mat = np.zeros((dim, dim))
     diag = np.zeros(dim)
-    for i, j in lattice.edges:
-        zz = z[:, i] * z[:, j]
-        diag += 0.5 * params.jz * zz
-        flip = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-        h_mat[x ^ flip, x] = 0.5 * (params.jx - params.jy * zz)
+    for e in range(len(edges)):
+        diag += 0.5 * params.jz * zz[:, e]
     for i in range(n):
         diag += params.h * z[:, i]
-    h_mat[x, x] = diag
+    h_mat[np.arange(dim), np.arange(dim)] = diag
+    flipped = x[:, None] ^ ((1 << (n - 1 - edges[:, 0])) | (1 << (n - 1 - edges[:, 1])))
+    amp = 0.5 * (params.jx - params.jy * zz)
+    row = np.minimum(np.searchsorted(x, flipped), dim - 1)
+    inside = x[row] == flipped
+    if np.any(amp[~inside]):
+        raise DomainError("H maps the indices outside themselves")
+    h_mat[row[inside], np.nonzero(inside)[0]] = amp[inside]
     return h_mat
+
+
+def _symmetric_eigh(mat):
+    """np.linalg.eigh of a real symmetric matrix.  LAPACK's divide and
+    conquer (dsyevd) can fail on an ordinary symmetric matrix; it is then
+    retried by relatively robust representations (SciPy's dsyevr)."""
+    try:
+        return np.linalg.eigh(mat)
+    except np.linalg.LinAlgError:
+        from scipy.linalg import eigh
+        return eigh(mat, driver="evr")
 
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
     """heisenberg_hamiltonian(lattice, params) kept as its lattice and
-    couplings.  Its dense matrix and site-block Hamiltonians (built by
-    heisenberg_hamiltonian) and its spectrum are cached on first use."""
+    couplings.  Its dense matrix, site-block Hamiltonians and sector
+    spectrum (all built by heisenberg_hamiltonian) are cached on first
+    use."""
 
     lattice: Lattice
     params: HeisenbergParams
@@ -204,22 +246,46 @@ class SpinHamiltonian:
         return self._built[sub]
 
     def spectrum(self):
-        """Ascending eigenvalues and the real eigenvector columns of the
-        dense matrix, from one real-symmetric np.linalg.eigh, cached
-        read-only: 8 * 4^n bytes beside dense() (2 GiB at n = 14) while
-        `self` lives, even for E_0 alone.  Within a degenerate level the
+        """(energies, sectors), cached read-only: all 2^n eigenvalues
+        ascending, and one (indices, eigenvalues, eigenvectors) per
+        conserved sector, ordered by its label: the sector's sorted basis
+        indices, the ascending eigenvalues of H's block on them and that
+        block's real eigenvector columns, rows in the order of `indices`.
+
+        H commutes with the parity prod_i Z_i, and where Jx = Jy also with
+        the total magnetisation, so the sectors are the basis states of
+        one popcount (Jx = Jy) or one popcount parity.  Each block is
+        built by heisenberg_hamiltonian on the sector's indices and
+        diagonalised on its own (_symmetric_eigh), so no 2^n x 2^n matrix
+        is built.  The largest sector's float64 block plus eigenvectors,
+        16 m^2 bytes for its m = C(n, n // 2) or 2^(n-1) states, is
+        checked against _SECTOR_BYTES before any sector is built
+        (ResourceError above it).  Within a degenerate level the
         eigenvectors are whichever LAPACK returns."""
         if "spectrum" not in self._built:
-            try:
-                evals, evecs = np.linalg.eigh(self.dense())
-            except np.linalg.LinAlgError:
-                # LAPACK's divide and conquer (dsyevd) can fail on an
-                # ordinary symmetric matrix; retry by relatively robust
-                # representations (dsyevr), a different algorithm
-                from scipy.linalg import eigh
-                evals, evecs = eigh(self.dense(), driver="evr")
-            evals.flags.writeable = evecs.flags.writeable = False  # shared by every caller
-            self._built["spectrum"] = evals, evecs
+            n, params = self.n, self.params
+            magnetisation = params.jx == params.jy  # XX + YY then keeps the popcount
+            largest = comb(n, n // 2) if magnetisation else 2 ** (n - 1)
+            need = 16 * largest ** 2
+            if need > _SECTOR_BYTES:
+                raise ResourceError(
+                    f"the largest conserved sector of H has {largest} states, whose "
+                    f"float64 block and eigenvectors need {need} bytes, over the budget "
+                    f"of {_SECTOR_BYTES} bytes")
+            label = _site_bits(np.arange(2 ** n), n).sum(axis=1)
+            if not magnetisation:
+                label &= 1
+            sectors = []
+            for value in np.unique(label):
+                indices = np.flatnonzero(label == value)
+                evals, evecs = _symmetric_eigh(
+                    heisenberg_hamiltonian(self.lattice, params, indices))
+                for a in (indices, evals, evecs):
+                    a.flags.writeable = False  # shared by every caller
+                sectors.append((indices, evals, evecs))
+            energies = np.sort(np.concatenate([evals for _, evals, _ in sectors]))
+            energies.flags.writeable = False
+            self._built["spectrum"] = energies, tuple(sectors)
         return self._built["spectrum"]
 
 
@@ -227,6 +293,20 @@ def _spin_count(ham):
     if not isinstance(ham, SpinHamiltonian):
         raise DomainError(f"expected a SpinHamiltonian(lattice, params), not {type(ham).__name__}")
     return ham.n
+
+
+def _check_temperature(kT):
+    if kT is not None and not kT > 0:  # NaN fails too
+        raise DomainError(f"temperature kT={kT} must be positive")
+
+
+def _weights(energies, e0, kT):
+    """Unnormalised Gibbs weights exp(-(E - E_0)/kT) of `energies`; for
+    kT None, 1 on the ground level (within _DEGENERACY_TOL of E_0) and 0
+    elsewhere."""
+    if kT is None:
+        return (energies <= e0 + _DEGENERACY_TOL).astype(float)
+    return np.exp(-(energies - e0) / kT)
 
 
 def partition_function(ham, kT):
@@ -238,27 +318,61 @@ def partition_function(ham, kT):
     return float(np.sum(np.exp(-(energies - energies[0]) / kT)) * np.exp(-energies[0] / kT))
 
 
+def thermal_energy(ham, kT):
+    """tr(rho H) of rho = thermal_state(ham, kT), as sum_i p_i E_i over
+    the spectrum: the Gibbs average, or for kT None the mean of the
+    ground level.  No matrix is built."""
+    _spin_count(ham)
+    _check_temperature(kT)
+    energies = ham.spectrum()[0]
+    weights = _weights(energies, energies[0], kT)
+    return float(weights @ energies / weights.sum())
+
+
 def thermal_state(ham, kT):
     """Gibbs state exp(-H/kT)/Z of the SpinHamiltonian `ham`; kT None
     gives the kT -> 0+ limit, the equal mixture over the (possibly
-    degenerate) ground manifold, eigenvalues within _DEGENERACY_TOL of E_0."""
+    degenerate) ground manifold, eigenvalues within _DEGENERACY_TOL of E_0.
+    The matrix is block diagonal over the conserved sectors: each
+    sector's V diag(p) V^T is scattered into place."""
     n = _spin_count(ham)
-    if kT is not None and not kT > 0:  # NaN fails too
-        raise DomainError(f"temperature kT={kT} must be positive")
-    evals, evecs = ham.spectrum()
-    if kT is None:
-        vecs = evecs[:, evals <= evals[0] + _DEGENERACY_TOL]
-        mat = vecs @ vecs.conj().T / vecs.shape[1]
-    else:
-        weights = np.exp(-(evals - evals[0]) / kT)
-        weights /= weights.sum()
-        mat = (evecs * weights) @ evecs.conj().T
+    _check_temperature(kT)
+    _check_dense_dim(2 ** n, None)
+    energies, sectors = ham.spectrum()
+    norm = _weights(energies, energies[0], kT).sum()
+    mat = np.zeros(ham.shape)
+    for indices, evals, evecs in sectors:
+        weights = _weights(evals, energies[0], kT) / norm
+        kept = weights > 0
+        mat[np.ix_(indices, indices)] = (evecs[:, kept] * weights[kept]) @ evecs[:, kept].T
     return DensityMatrix(qubits(n), mat, validate=False)
 
 
 def ground_state_dm(ham):
     """The kT -> 0+ limit of thermal_state, the ground-manifold mixture."""
     return thermal_state(ham, None)
+
+
+def ground_vector(ham):
+    """A ground state of `ham` that does not depend on the basis the
+    eigensolver picks in a degenerate ground level: P e_x / |P e_x|, where
+    P projects onto the levels within _DEGENERACY_TOL of E_0 and x is the
+    basis index with the largest P_xx, the smallest such x among those
+    within 1e-9 of the largest.  P_xx = sum_v v_x^2 over the ground
+    vectors v of x's sector, and P e_x lies in that sector too."""
+    n = _spin_count(ham)
+    energies, sectors = ham.spectrum()
+    grounds = [evecs[:, evals <= energies[0] + _DEGENERACY_TOL] for _, evals, evecs in sectors]
+    diag = np.zeros(2 ** n)
+    owner = np.empty(2 ** n, dtype=int)  # the sector of each basis index
+    for s, ((indices, _, _), ground) in enumerate(zip(sectors, grounds)):
+        diag[indices] = np.einsum("ij,ij->i", ground, ground)
+        owner[indices] = s
+    x = np.flatnonzero(diag >= diag.max() - 1e-9)[0]
+    indices, ground = sectors[owner[x]][0], grounds[owner[x]]
+    vec = np.zeros(2 ** n)
+    vec[indices] = ground @ ground[np.searchsorted(indices, x)]
+    return StateVector(qubits(n), vec / np.linalg.norm(vec), max_dim=vec.size)
 
 
 @dataclass(frozen=True)
@@ -567,12 +681,21 @@ class GapReport:
     def gap(self, k):
         return self.energies[k] - self.e0
 
+    def detects(self, energy, k, slack=None):
+        """True when a state of energy tr(rho H) = `energy` sits strictly
+        below E_ksep minus the optimiser slack (self.slack unless given),
+        certifying k-inseparability."""
+        if k not in self.energies:
+            raise DomainError(f"report carries no E_ksep for k={k}")
+        margin = self.slack if slack is None else slack
+        return energy < self.energies[k] - margin
+
 
 def entanglement_gaps(ham, ks=None, restarts=32, tol=1e-10, seed=0,
                       slack=DEFAULT_OPT_SLACK):
     """E_ksep of the SpinHamiltonian `ham` for every requested k (default
-    2..n) plus the exact E_0 of ham.spectrum(), whose cached eigenvectors
-    report.hamiltonian keeps alive."""
+    2..n) plus the exact E_0 of ham.spectrum(), whose cached sector
+    eigenvectors report.hamiltonian keeps alive."""
     n = _spin_count(ham)
     e0 = float(ham.spectrum()[0][0])
     report = GapReport(hamiltonian=ham, e0=e0, slack=slack)
@@ -586,12 +709,13 @@ def entanglement_gaps(ham, ks=None, restarts=32, tol=1e-10, seed=0,
 
 
 def gap_witness_detects(rho, report, k, slack=None):
-    """True when tr(rho H) sits strictly below E_ksep minus the optimiser
-    slack, certifying k-inseparability."""
-    if k not in report.energies:
-        raise DomainError(f"report carries no E_ksep for k={k}")
+    """report.detects(tr(rho H), k, slack) for a density matrix rho.
+    tr(rho H) is read off the sector eigenpairs of report.hamiltonian, as
+    sum_i E_i <v_i|rho|v_i>, with no dense H."""
     if rho.mat.shape != report.hamiltonian.shape:
         raise DomainError("state and Hamiltonian dimensions do not match")
-    energy = float(np.einsum("ij,ji->", rho.mat, report.hamiltonian.dense()).real)
-    margin = report.slack if slack is None else slack
-    return energy < report.energies[k] - margin
+    energy = 0.0
+    for indices, evals, evecs in report.hamiltonian.spectrum()[1]:
+        block = rho.mat[np.ix_(indices, indices)]
+        energy += float(np.sum(evecs * (block @ evecs), axis=0).real @ evals)
+    return report.detects(energy, k, slack)

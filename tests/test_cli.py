@@ -441,6 +441,10 @@ class TestManybodyCli:
 
     @pytest.mark.parametrize("kT", [[], ["--kT", "0.5"]])
     def test_one_eigh_of_the_hamiltonian_per_field_value(self, capsys, monkeypatch, kT):
+        """One eigh per conserved sector of H per field value: the ring(4)
+        popcount sectors have 1, 4, 6, 4 and 1 states, and no 16 x 16
+        matrix is diagonalised (the sweeps' block eigensolves are batched,
+        so 3-dimensional)."""
         shapes = {"eigh": [], "eigvalsh": []}
 
         def counting(name):
@@ -455,8 +459,46 @@ class TestManybodyCli:
             monkeypatch.setattr(np.linalg, name, counting(name))
         assert main(["manybody", "--n", "4", "--h-start", "0", "--h-stop", "1",
                      "--h-step", "0.5", "--restarts", "1", *kT]) == 0
-        assert shapes["eigh"].count((16, 16)) == 3
+        matrices = sorted(shape for shape in shapes["eigh"] if len(shape) == 2)
+        assert matrices == sorted([(1, 1), (4, 4), (6, 6), (4, 4), (1, 1)] * 3)
         assert shapes["eigvalsh"] == []
+
+    def test_row_builds_no_dense_matrix(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        e0 = np.linalg.eigvalsh(manybody.heisenberg_hamiltonian(
+            manybody.Lattice.ring(10), manybody.HeisenbergParams.from_gamma(0.0)))[0]
+        monkeypatch.setattr(manybody.SpinHamiltonian, "dense", refuse)
+        code, out = run_cli(capsys, "manybody", "--n", "10", "--ks", "10", "--kT", "0.5",
+                            "--restarts", "2")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert abs(float(row[3]) - e0) < 1e-12
+        assert row[5] == "10"
+
+    def test_sector_budget_exits_3(self, capsys):
+        """Parity sectors of ring(15) need 4 GiB: refused before anything
+        is built."""
+        assert main(["manybody", "--n", "15", "--gamma", "0.3", "--ks", "15"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource cap: the largest conserved sector")
+        assert "4294967296 bytes" in captured.err
+
+    def test_cgme_ground_ignores_the_blas_thread_count(self):
+        """The isotropic ring(9) has a 4-fold ground level; cgme_ground
+        is the same at one and two BLAS threads."""
+        argv = ["manybody", "--n", "9", "--ks", "9", "--restarts", "1"]
+        values = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-m", "multisep", *argv], env=env,
+                                 check=True, capture_output=True, text=True).stdout
+            values.append(float(out.splitlines()[1].split(",")[-1]))
+        assert abs(values[0] - 0.6905934982293) < 1e-12
+        assert abs(values[1] - values[0]) < 1e-12
 
     def test_wide_decay_width_gives_numbers(self, capsys):
         code, out = run_cli(capsys, "unstable", "--gamma1", "2000", "--t-start", "1",

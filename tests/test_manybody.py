@@ -9,9 +9,11 @@ from multisep import (
     ResourceError,
     SpinHamiltonian,
     StateVector,
+    cgme_pure,
     entanglement_gaps,
     gap_witness_detects,
     ground_state_dm,
+    ground_vector,
     heisenberg_hamiltonian,
     hermitian_spectrum,
     iter_k_partitions,
@@ -20,6 +22,7 @@ from multisep import (
     min_ksep_energy,
     partition_function,
     qubits,
+    thermal_energy,
     thermal_state,
 )
 from multisep import manybody
@@ -157,6 +160,85 @@ class TestThermal:
         assert energy == pytest.approx(evals[0], abs=1e-9)
 
 
+CUSTOM = Lattice(7, [(0, 3), (1, 2), (2, 6), (4, 5), (0, 6), (3, 5)])
+
+
+class TestSectorSpectrum:
+    """E_0, Z and the thermal energy from the sector blocks against one
+    dense np.linalg.eigh."""
+
+    @pytest.mark.parametrize("lattice", [Lattice.ring(10), Lattice.chain(9), CUSTOM,
+                                         Lattice.chain(2), Lattice(1, [])],
+                             ids=["ring10", "chain9", "custom7", "chain2", "site"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("h", [0.0, 0.4])
+    def test_against_the_dense_spectrum(self, lattice, gamma, h):
+        ham = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(gamma, h=h))
+        evals, evecs = np.linalg.eigh(ham.dense())
+        energies, sectors = ham.spectrum()
+        assert np.array_equal(np.sort(np.concatenate([s[0] for s in sectors])),
+                              np.arange(2 ** lattice.n))
+        assert abs(energies[0] - evals[0]) < 1e-12
+        assert np.max(np.abs(energies - evals)) < 1e-12
+        for kT in (0.5, 2.0):
+            weights = np.exp(-(evals - evals[0]) / kT)
+            z = np.sum(np.exp(-evals / kT))
+            assert abs(partition_function(ham, kT) - z) < 1e-12 * z
+            assert abs(thermal_energy(ham, kT) - weights @ evals / weights.sum()) < 1e-12
+        ground = evals <= evals[0] + 1e-9
+        assert abs(thermal_energy(ham, None) - np.mean(evals[ground])) < 1e-12
+        if lattice.n <= 7:
+            weights = np.exp(-(evals - evals[0]) / 0.5)
+            want = (evecs * (weights / weights.sum())) @ evecs.T
+            assert np.max(np.abs(thermal_state(ham, 0.5).mat - want)) < 1e-12
+            want = evecs[:, ground] @ evecs[:, ground].T / ground.sum()
+            assert np.max(np.abs(ground_state_dm(ham).mat - want)) < 1e-12
+
+
+class TestGroundVector:
+    """ground_vector: P e_x / |P e_x| with P the ground-level projector and
+    x the basis index of largest P_xx, the smallest x on ties."""
+
+    RING9 = 0.6905934982293  # cgme of the isotropic ring(9) ground vector
+
+    def _rotated(self, ham, rng):
+        """ham with each sector's ground eigenvectors mixed by a random
+        orthogonal matrix."""
+        energies, sectors = ham.spectrum()
+        out = SpinHamiltonian(ham.lattice, ham.params)
+        rotated = []
+        for indices, evals, evecs in sectors:
+            evecs = evecs.copy()
+            ground = evals <= energies[0] + 1e-9
+            q, _ = np.linalg.qr(rng.standard_normal((ground.sum(), ground.sum())))
+            evecs[:, ground] = evecs[:, ground] @ q
+            rotated.append((indices, evals, evecs))
+        out._built["spectrum"] = energies, tuple(rotated)
+        return out
+
+    def test_degenerate_ring9_is_basis_free(self, rng):
+        ham = SpinHamiltonian(Lattice.ring(9), HeisenbergParams.from_gamma(0.0))
+        energies = ham.spectrum()[0]
+        assert np.sum(energies <= energies[0] + 1e-9) == 4
+        value = cgme_pure(ground_vector(ham)).value
+        assert abs(value - self.RING9) < 1e-12
+        for _ in range(3):
+            assert abs(cgme_pure(ground_vector(self._rotated(ham, rng))).value - value) < 1e-12
+        # the same vector from the dense eigenvectors, another basis of the level
+        evals, evecs = np.linalg.eigh(ham.dense())
+        ground = evecs[:, evals <= evals[0] + 1e-9]
+        diag = np.sum(ground ** 2, axis=1)
+        x = np.flatnonzero(diag >= diag.max() - 1e-9)[0]
+        want = ground @ ground[x] / np.sqrt(diag[x])
+        assert np.max(np.abs(ground_vector(ham).amp - want)) < 1e-12
+
+    def test_nondegenerate_ground_vector(self):
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.3, h=0.2))
+        evals, evecs = np.linalg.eigh(ham.dense())
+        assert evals[1] - evals[0] > 1e-3
+        assert abs(abs(np.vdot(evecs[:, 0], ground_vector(ham).amp)) - 1) < 1e-12
+
+
 # the couplings test_manybody_equivalence.py builds Hamiltonians with
 PARAMS = [
     HeisenbergParams(),
@@ -166,6 +248,14 @@ PARAMS = [
     HeisenbergParams(0.0, 0.0, 0.0, 0.7),
     HeisenbergParams(0.0, 1.0, 0.0, 0.0),
 ]
+
+
+def _from_sectors(sectors, dim):
+    """The matrix sum over sectors of V diag(w) V^T, scattered into place."""
+    out = np.zeros((dim, dim))
+    for indices, evals, evecs in sectors:
+        out[np.ix_(indices, indices)] = (evecs * evals) @ evecs.T
+    return out
 
 
 def _lattices(n):
@@ -210,13 +300,18 @@ class TestSpinHamiltonian:
         assert built == [Lattice(1, []), Lattice.chain(3), Lattice(3, [(1, 2), (0, 2)])]
 
     def test_one_cached_spectrum(self):
-        ham = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.3, h=0.2))
-        evals, evecs = ham.spectrum()
-        assert ham.spectrum() is ham.spectrum()
-        assert not evals.flags.writeable and not evecs.flags.writeable
-        assert np.max(np.abs((evecs * evals) @ evecs.conj().T - ham.dense())) < 1e-12
-        report = entanglement_gaps(ham, ks=[1])
-        assert report.e0 == report.energies[1] == min_ksep_energy(ham, 1).energy == evals[0]
+        # popcount sectors 0..4 at Jx = Jy, else the two parities
+        for gamma, count in ((0.0, 5), (0.3, 2)):
+            ham = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(gamma, h=0.2))
+            energies, sectors = ham.spectrum()
+            assert ham.spectrum() is ham.spectrum()
+            assert not any(a.flags.writeable for a in [energies, *sum(sectors, ())])
+            assert len(sectors) == count
+            assert np.max(np.abs(_from_sectors(sectors, 16) - ham.dense())) < 1e-12
+            assert np.array_equal(energies, np.sort(np.concatenate([s[1] for s in sectors])))
+            report = entanglement_gaps(ham, ks=[1])
+            assert (report.e0 == report.energies[1] == min_ksep_energy(ham, 1).energy
+                    == energies[0])
 
     def test_spectrum_survives_a_lapack_failure(self, monkeypatch):
         ham = SpinHamiltonian(Lattice.ring(4), HeisenbergParams.from_gamma(0.3, h=0.2))
@@ -226,10 +321,43 @@ class TestSpinHamiltonian:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        evals, evecs = ham.spectrum()
-        assert np.max(np.abs(evals - want)) < 1e-12
-        assert evecs.dtype == np.float64
-        assert np.max(np.abs((evecs * evals) @ evecs.T - ham.dense())) < 1e-12
+        energies, sectors = ham.spectrum()
+        assert np.max(np.abs(energies - want)) < 1e-12
+        assert all(evecs.dtype == np.float64 for _, _, evecs in sectors)
+        assert np.max(np.abs(_from_sectors(sectors, 16) - ham.dense())) < 1e-12
+
+    def test_sector_blocks_need_a_closed_sorted_index_set(self):
+        lattice = Lattice.chain(3)
+        with pytest.raises(DomainError, match="outside themselves"):
+            heisenberg_hamiltonian(lattice, HeisenbergParams.from_gamma(0.3), [0, 1, 2, 4])
+        for bad in ([], [2, 1], [1, 1], [8], [-1]):
+            with pytest.raises(DomainError, match="sorted distinct basis indices"):
+                heisenberg_hamiltonian(lattice, HeisenbergParams(), bad)
+        # at Jx = Jy the flips keep the popcount, whatever Jz and h are
+        params = HeisenbergParams(0.5, 0.5, -1.2, h=0.3)
+        indices = [3, 5, 6]
+        want = heisenberg_hamiltonian(lattice, params)[np.ix_(indices, indices)]
+        assert np.array_equal(heisenberg_hamiltonian(lattice, params, indices), want)
+
+    def test_sector_budget_in_bytes(self, monkeypatch):
+        # parity sectors of ring(15): 16384 states, 4 GiB of block and eigenvectors
+        with pytest.raises(ResourceError, match="16384 states.* 4294967296 bytes"):
+            SpinHamiltonian(Lattice.ring(15), HeisenbergParams.from_gamma(0.3)).spectrum()
+        with pytest.raises(ResourceError, match="12870 states"):
+            SpinHamiltonian(Lattice.ring(16), HeisenbergParams.from_gamma(0.0)).spectrum()
+
+        class Built(Exception):
+            pass
+
+        def stop(*args):
+            raise Built
+
+        # popcount sectors of ring(15) (6435 states, 0.66 GB) and parity
+        # sectors of ring(14) (8192 states, 1 GiB) pass the check
+        monkeypatch.setattr(manybody, "heisenberg_hamiltonian", stop)
+        for n, gamma in ((15, 0.0), (14, 0.3)):
+            with pytest.raises(Built):
+                SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(gamma)).spectrum()
 
     def test_bad_block(self):
         ham = SpinHamiltonian(Lattice.chain(3), HeisenbergParams())
@@ -325,7 +453,8 @@ class TestMinKsepEnergy:
         h_mat = heisenberg_hamiltonian(Lattice.ring(4), HeisenbergParams())
         for call in (lambda h: min_ksep_energy(h, 2), entanglement_gaps,
                      lambda h: thermal_state(h, 0.5), ground_state_dm,
-                     lambda h: partition_function(h, 0.5)):
+                     lambda h: partition_function(h, 0.5), lambda h: thermal_energy(h, 0.5),
+                     ground_vector):
             with pytest.raises(DomainError, match=r"SpinHamiltonian\(lattice, params\)"):
                 call(h_mat)
 

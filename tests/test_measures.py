@@ -10,6 +10,7 @@ from multisep import (
     cgme_lower_bound,
     cgme_pure,
     ghz_state,
+    iter_bipartitions,
     kron_all,
     qubits,
     schmidt_rank,
@@ -27,7 +28,31 @@ def random_local_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _cgme_by_cuts(psi):
+    """cgme_pure as one SVD per bipartition, the loop it replaced."""
+    tensor = psi.amp.reshape(psi.shape.dims)
+    best = None
+    for part in iter_bipartitions(psi.shape.n):
+        side_a, side_b = (list(block) for block in part.blocks)
+        da = int(np.prod([psi.shape.dims[s] for s in side_a]))
+        sv = np.linalg.svd(tensor.transpose(side_a + side_b).reshape(da, -1),
+                           compute_uv=False)
+        c = np.sqrt(max(2.0 * (1.0 - float(np.sum(sv ** 4))), 0.0))
+        best = c if best is None else min(best, c)
+    return best
+
+
 class TestCgmePure:
+    @pytest.mark.parametrize("dims", [(2,) * n for n in range(2, 10)] + [(2, 3, 2, 4), (3, 2)])
+    def test_matches_one_svd_per_cut(self, rng, dims):
+        shape = SystemShape(dims)
+        for real in (False, True):
+            amp = rng.standard_normal(shape.total)
+            if not real:
+                amp = amp + 1j * rng.standard_normal(shape.total)
+            psi = StateVector(shape, amp / np.linalg.norm(amp))
+            assert abs(cgme_pure(psi).value - _cgme_by_cuts(psi)) < 1e-12
+
     def test_ghz3(self):
         assert cgme_pure(ghz_state(3)).value == pytest.approx(1.0)
 
