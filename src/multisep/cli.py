@@ -23,7 +23,7 @@ import numpy as np
 from . import criteria, manybody, measures, unstable
 from .applications import QssSimulator, qss_verification_value
 from .errors import DomainError, ResourceError
-from .states import StateSpec, family_state, make_state, mix_white_noise
+from .states import StateSpec, family_state, family_weights, make_state, mix_white_noise
 from .tensor import (
     StateVector,
     load_density_matrix,
@@ -34,11 +34,13 @@ from .tensor import (
 # Points one --start/--stop/--step grid may hold.
 _MAX_GRID_POINTS = 1_000_000
 
+# The mixing weights that scan and threshold may sweep per family; the
+# first is the default --var.
 _FAMILY_VARS = {
-    "ghz-iso": "alpha",
-    "dicke-iso": "p",
-    "ghz-w": "alpha",
-    "gmd": "alpha",
+    "ghz-iso": ("alpha",),
+    "dicke-iso": ("p",),
+    "ghz-w": ("alpha", "beta"),
+    "gmd": ("alpha", "beta"),
 }
 
 
@@ -110,18 +112,30 @@ def _load_state(args):
 
 
 def _family_builder(args):
+    """(build, var): build(value) is the family's provider with the
+    mixing weight var at value.
+
+    The family is built once, at the first point; every point reweights
+    the provider of the point before, so all of them share one support
+    table and one store of query plans, which lives as long as build.
+    """
     family = args.family
     if family not in _FAMILY_VARS:
         raise DomainError(f"unknown family {family!r}")
-    var = args.var or _FAMILY_VARS[family]
+    var = args.var or _FAMILY_VARS[family][0]
+    if var not in _FAMILY_VARS[family]:
+        raise DomainError(f"--var {var!r} is not a mixing weight of {family}; "
+                          f"choose from {', '.join(_FAMILY_VARS[family])}")
+    provider = None
 
     def build(value):
-        kwargs = _family_kwargs(args)
-        if var not in kwargs:
-            raise DomainError(f"cannot sweep {var!r}")
-        kwargs[var] = value
-        return family_state(family, representation="provider", max_dim=args.max_dim,
-                            **kwargs)
+        nonlocal provider
+        weights = {"alpha": args.alpha, "beta": args.beta, "p": args.p, var: value}
+        if provider is None:
+            provider = family_state(family, representation="provider", n=args.n, d=args.d,
+                                    m=args.m, **weights)
+        provider = provider.reweighted(*family_weights(family, n=args.n, **weights))
+        return provider
 
     return build, var
 
@@ -132,32 +146,36 @@ def _check_tolerance(flag, tol):
         raise DomainError(f"{flag} must be finite and non-negative, got {tol}")
 
 
-def _evaluate(args, state):
+def _criterion(args):
+    """The command's criterion as a function from a state to its report;
+    its flags are checked and parsed here, once per command."""
     crit = args.crit
     tol = args.tol
     _check_tolerance("--tol", tol)
     if crit == "ppt":
-        return criteria.ppt_check(state, args.block or [0], tol=tol, max_dim=args.max_dim)
-    if crit == "bipartite":
-        return criteria.bipartite_value(state, _parse_probe(args.probe), tol=tol)
-    if crit == "gme":
-        return criteria.gme_value(state, _parse_probe(args.probe), tol=tol)
-    if crit == "ksep":
-        return criteria.ksep_value(state, args.k, _parse_probe(args.probe), tol=tol)
+        block = args.block or [0]
+        return lambda state: criteria.ppt_check(state, block, tol=tol, max_dim=args.max_dim)
+    if crit in ("bipartite", "gme", "ksep"):
+        probe = _parse_probe(args.probe)
+        if crit == "bipartite":
+            return lambda state: criteria.bipartite_value(state, probe, tol=tol)
+        if crit == "gme":
+            return lambda state: criteria.gme_value(state, probe, tol=tol)
+        return lambda state: criteria.ksep_value(state, args.k, probe, tol=tol)
     if crit == "dicke":
-        return criteria.dicke_gme_value(state, args.m, tol=tol)
+        return lambda state: criteria.dicke_gme_value(state, args.m, tol=tol)
     if crit == "q0":
-        return criteria.q0_value(state, f=args.f, tol=tol)
+        return lambda state: criteria.q0_value(state, f=args.f, tol=tol)
     if crit == "qm":
-        return criteria.qm_value(state, args.m, f=args.f, tol=tol)
+        return lambda state: criteria.qm_value(state, args.m, f=args.f, tol=tol)
     if crit == "double-class":
-        return criteria.double_class_value(state, tol=tol)
+        return lambda state: criteria.double_class_value(state, tol=tol)
     if crit == "ntuple-class":
-        return criteria.ntuple_class_value(state, tol=tol)
+        return lambda state: criteria.ntuple_class_value(state, tol=tol)
     if crit == "fw-ghz3":
-        return criteria.fidelity_witness_value(state, "ghz3", tol=tol)
+        return lambda state: criteria.fidelity_witness_value(state, "ghz3", tol=tol)
     if crit == "fw-w3":
-        return criteria.fidelity_witness_value(state, "w3", tol=tol)
+        return lambda state: criteria.fidelity_witness_value(state, "w3", tol=tol)
     raise DomainError(f"unknown criterion {crit!r}")
 
 
@@ -181,7 +199,7 @@ def cmd_state(args):
 
 def cmd_crit(args):
     state = _load_state(args)
-    report = _evaluate(args, state)
+    report = _criterion(args)(state)
     _write_lines([report.to_json()], args.out)
     return 0
 
@@ -242,9 +260,10 @@ def _grid(start, stop, step):
 
 def cmd_scan(args):
     build, var = _family_builder(args)
+    evaluate = _criterion(args)
     lines = [f"{var},value,violated"]
     for value in _grid(args.start, args.stop, args.step):
-        report = _evaluate(args, build(value))
+        report = evaluate(build(value))
         lines.append(f"{_fmt(float(value))},{_fmt(report.value)},{_fmt(report.violated)}")
     _write_lines(lines, args.out)
     return 0
@@ -252,9 +271,10 @@ def cmd_scan(args):
 
 def cmd_threshold(args):
     build, var = _family_builder(args)
+    evaluate = _criterion(args)
 
     def detected(value):
-        return _evaluate(args, build(value)).violated
+        return evaluate(build(value)).violated
 
     lo, hi = args.lo, args.hi
     _check_tolerance("--threshold-tol", args.threshold_tol)
@@ -462,7 +482,9 @@ def build_parser():
     _add_common(p, "n", "d", "tol", "max_dim")
     _add_family(p)
     _add_crit(p)
-    p.add_argument("--var", default=None, help="parameter to sweep (family default)")
+    p.add_argument("--var", default=None,
+                   help="mixing weight to sweep: alpha (ghz-iso, default), p (dicke-iso, "
+                        "default), alpha (default) or beta (ghz-w, gmd)")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
@@ -472,7 +494,7 @@ def build_parser():
     _add_common(p, "n", "d", "tol", "max_dim")
     _add_family(p)
     _add_crit(p)
-    p.add_argument("--var", default=None)
+    p.add_argument("--var", default=None, help="mixing weight to bisect, as for scan")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--threshold-tol", type=float, default=1e-8, dest="threshold_tol")

@@ -32,6 +32,14 @@ Python object:
 
 Work proceeds in chunks of at most _CHUNK entries, so memory stays
 bounded; sums are folded in a fixed order, so results are deterministic.
+The index arrays of those chunks depend on the shape and the probe
+only, not on the state's weights.  Each kernel builds them as a query
+plan (_planned), which streams chunk by chunk for a provider without a
+plan store, as `crit` and library calls have.  The providers of one
+scan or threshold sweep (MixtureProvider.reweighted) share a store:
+there the plan is recorded at the first point, up to _PLAN_BYTES, and
+replayed at every later one, in the same chunks and fold order, so
+each value is the same, bit for bit.
 
 Probe states are computational-basis product multi-indices; the basis
 freedom of the underlying inequalities is realised by conjugating the
@@ -45,6 +53,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 from math import sqrt
+from types import GeneratorType
 
 import numpy as np
 
@@ -67,6 +76,11 @@ DEFAULT_TOL = 1e-10
 # Batches this small keep the kernel's temporaries near 1 MiB at no
 # measurable cost in speed.
 _CHUNK = 1 << 12
+
+# Largest size in bytes of one recorded query plan (see _planned): the
+# index arrays of, e.g., a gme sum over 2^19 bipartitions.  A larger
+# plan is not kept, and its kernel streams as without a plan store.
+_PLAN_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -158,10 +172,10 @@ def _subset_sums(steps):
     return sums
 
 
-def _subset_root_sum(prov, lo, hi, steps, proper):
-    """Per row r, the sum over non-empty subsets S of the row's sites
-    (proper subsets only if `proper`) of sqrt(D(lo[r] + s) D(hi[r] - s)),
-    where s is the sum of steps[r, S] and D = prov.diagonal.
+def _subset_batches(lo, hi, steps, proper):
+    """Batches (row slice, flat indices) of _subset_root_sum: per row r,
+    every non-empty subset S of the row's sites (proper subsets only if
+    `proper`), as the pair [lo[r] + s, hi[r] - s], s the sum of steps[r, S].
 
     Subset sums are tabulated over the first log2(_CHUNK) sites and
     combined with one subset of the remaining sites at a time, in row
@@ -171,7 +185,6 @@ def _subset_root_sum(prov, lo, hi, steps, proper):
     n_low = min(m, _CHUNK.bit_length() - 1)
     n_high = 1 << (m - n_low)
     step = max(1, _CHUNK >> n_low)
-    out = np.zeros(rows)
     for r in range(0, rows, step):
         block = slice(r, r + step)
         low = _subset_sums(steps[block, :n_low])
@@ -180,51 +193,163 @@ def _subset_root_sum(prov, lo, hi, steps, proper):
             # the empty subset is column 0 of h = 0, the full one the last of the last h
             s = low[:, int(h == 0):low.shape[1] - int(proper and h == n_high - 1)]
             s = s + high[:, h, None]
-            diag = prov.diagonal(np.stack([lo[block, None] + s, hi[block, None] - s]))
-            out[block] += np.sqrt(diag[0] * diag[1]).sum(axis=1)
+            yield block, np.stack([lo[block, None] + s, hi[block, None] - s])
+
+
+def _subset_root_sum(prov, batches, rows):
+    """Per row, the sum of sqrt(D(x) D(y)) over the pairs [x, y] of its
+    _subset_batches, D = prov.diagonal."""
+    out = np.zeros(rows)
+    for block, flat in batches:
+        diag = prov.diagonal(flat)
+        out[block] += np.sqrt(diag[0] * diag[1]).sum(axis=1)
     return out
 
 
-def _block_root_sum(prov, lo, hi, steps, k, cap):
-    """Sum over k-partitions P of the sites of
-    prod_{g in P} (D(lo + s_g) D(hi - s_g))^(1/2k), s_g = sum of steps[g]."""
+def _block_batches(lo, hi, steps, k, cap):
+    """Batches (flat indices) of _block_root_sum: per k-partition P of
+    the sites, its k pairs [lo + s_g, hi - s_g], s_g the sum of steps[g]
+    over block g of P."""
     n = len(steps)
-    total = 0.0
     for rgs in k_partition_rows(n, k, cap=cap, rows=max(1, _CHUNK // k)):
         rows = np.arange(len(rgs))
         sums = np.zeros((len(rgs), k), dtype=steps.dtype)
         for i in range(n):
             sums[rows, rgs[:, i]] += steps[i]
-        diag = prov.diagonal(np.stack([lo + sums, hi - sums]))
+        yield np.stack([lo + sums, hi - sums])
+
+
+def _block_root_sum(prov, batches, k):
+    """Sum over the k-partitions P of _block_batches of
+    prod_{g in P} (D(lo + s_g) D(hi - s_g))^(1/2k), D = prov.diagonal."""
+    total = 0.0
+    for flat in batches:
+        diag = prov.diagonal(flat)
         terms = (diag[0] * diag[1]).prod(axis=1)
         total += float(np.sum(terms ** (1.0 / (2 * k))))
     return total
 
 
-def _probe_terms(prov, a, b, k, cap):
-    """(|rho_ab|, partition sum) for each row of the label arrays a, b.
+class _OverBudget(Exception):
+    pass
 
-    The partition sum runs over the k-partitions of the sites of
-    prod_g (D(a_g b_rest) D(b_g a_rest))^(1/2k).  Site i's step
-    (a_i - b_i) w_i moves it from b's label to a's, so a_g b_rest sits
-    at flat(b) + s_g and b_g a_rest at flat(a) - s_g.
+
+def _recorded(item, left):
+    """(item with every generator in it expanded to a list and every
+    array made read-only, `left` less the bytes of those arrays), or
+    _OverBudget once that would be negative."""
+    if isinstance(item, np.ndarray):
+        left -= item.nbytes
+        if left < 0:
+            raise _OverBudget
+        item.flags.writeable = False
+        return item, left
+    if isinstance(item, (tuple, GeneratorType)):
+        out = []
+        for x in item:
+            x, left = _recorded(x, left)
+            out.append(x)
+        return (tuple(out) if isinstance(item, tuple) else out), left
+    return item, left
+
+
+def _planned(prov, key, batches):
+    """The query plan batches() builds for key: the flat indices a kernel
+    passes to prov.elements / prov.diagonal, in order.
+
+    A provider without a plan store (prov.plans is None) gets the
+    batches as they are built, chunk by chunk.  Otherwise the first call
+    records them in the store and later calls replay the record, so a
+    sweep builds its index arrays once; a plan that passes _PLAN_BYTES is
+    not kept, and streams at every call.
     """
-    n = prov.shape.n
-    w = prov.shape.place_values()
+    plans = prov.plans
+    if plans is None:
+        return batches()
+    if key not in plans:
+        try:
+            plans[key] = _recorded(batches(), _PLAN_BYTES)[0]
+        except _OverBudget:
+            plans[key] = None
+    return batches() if plans[key] is None else plans[key]
+
+
+def _probe_batches(shape, a, b, k, cap):
+    """(flat a, flat b, batches) of _probe_terms: the batches of
+    _subset_batches at k = 2, else per row those of _block_batches.
+
+    Site i's step (a_i - b_i) w_i moves it from b's label to a's, so
+    a_g b_rest sits at flat(b) + s_g and b_g a_rest at flat(a) - s_g.
+    """
+    n = shape.n
+    w = shape.place_values()
     a = np.asarray(a, dtype=w.dtype).reshape(-1, n)
     b = np.asarray(b, dtype=w.dtype).reshape(-1, n)
     flat_a, flat_b = (a * w).sum(axis=1), (b * w).sum(axis=1)
-    off = np.abs(prov.elements(flat_a, flat_b))
     steps = (a - b) * w
     if k == 2:
         partition_count(n, 2, cap)
         # The bipartition {g, rest} with site 0 in rest is the non-empty
         # subset g of sites 1..n-1; g and rest contribute the same factor,
         # so the term is sqrt(D+ D-).
-        return off, _subset_root_sum(prov, flat_b, flat_a, steps[:, 1:], proper=False)
-    sums = [_block_root_sum(prov, lo, hi, st, k, cap)
-            for lo, hi, st in zip(flat_b, flat_a, steps)]
-    return off, np.array(sums)
+        return flat_a, flat_b, _subset_batches(flat_b, flat_a, steps[:, 1:], proper=False)
+    return flat_a, flat_b, (_block_batches(lo, hi, st, k, cap)
+                            for lo, hi, st in zip(flat_b, flat_a, steps))
+
+
+def _probe_terms(prov, a, b, k, cap):
+    """(|rho_ab|, partition sum) for each pair of rows of a, b, tuples
+    of label tuples.
+
+    The partition sum runs over the k-partitions of the sites of
+    prod_g (D(a_g b_rest) D(b_g a_rest))^(1/2k).
+    """
+    flat_a, flat_b, batches = _planned(prov, ("probe", a, b, k, cap),
+                                       lambda: _probe_batches(prov.shape, a, b, k, cap))
+    off = np.abs(prov.elements(flat_a, flat_b))
+    if k == 2:
+        return off, _subset_root_sum(prov, batches, len(flat_a))
+    return off, np.array([_block_root_sum(prov, row, k) for row in batches])
+
+
+def _dicke_batches(shape, m, f):
+    """Batches of _dicke_total, one per chunk of alpha subsets and level
+    k: (the pair (A, A - x + y), the diagonals at A - x and at A + y, the
+    diagonals at l_k(alpha), and per level l < k the cross pair (A, B)
+    with its _subset_batches), A = l_k(alpha) and B = l_l(beta)."""
+    n = shape.n
+    mu = min(m, n - m)
+    w = shape.place_values()
+    level = w.sum()         # flat-index shift raising every label by one
+    per_chunk = max(1, _CHUNK // (mu * (n - mu)))
+    subsets = combinations(range(n), mu)
+    while True:
+        alpha = np.array(list(islice(subsets, per_chunk)), dtype=np.intp).reshape(-1, mu)
+        if not len(alpha):
+            return
+        members = np.zeros((len(alpha), n), dtype=bool)
+        members[np.arange(len(alpha))[:, None], alpha] = True
+        rest = np.nonzero(~members)[1].reshape(len(alpha), n - mu)
+        e_alpha = w[alpha].sum(axis=1)     # flat index of 1 on alpha, 0 elsewhere
+        ea, x, y = (v.ravel() for v in np.broadcast_arrays(
+            e_alpha[:, None, None], alpha[:, :, None], rest[:, None, :]))
+        wx, wy = w[x], w[y]
+        pairs = np.arange(len(x))
+        not_y = np.ones((len(x), n), dtype=bool)
+        not_y[pairs, y] = False
+
+        def crosses(k, flat_a, ea=ea, x=x, wx=wx, wy=wy, pairs=pairs, not_y=not_y):
+            for l in range(k):
+                flat_b = l * level + ea - wx + wy
+                steps = np.broadcast_to((l - k) * w, (len(x), n)).copy()
+                steps[pairs, x] -= wx
+                yield flat_a, flat_b, _subset_batches(
+                    flat_a, flat_b, steps[not_y].reshape(len(x), n - 1), proper=True)
+
+        for k in range(f - 1):
+            flat_a = k * level + ea
+            yield ((flat_a, flat_a - wx + wy), flat_a - wx, flat_a + wy, k * level + e_alpha,
+                   crosses(k, flat_a))
 
 
 def _dicke_total(prov, m, f):
@@ -243,37 +368,16 @@ def _dicke_total(prov, m, f):
     n = prov.shape.n
     mu = min(m, n - m)
     omega = FlippedProvider(prov) if 2 * m > n else prov
-    w = prov.shape.place_values()
-    level = w.sum()         # flat-index shift raising every label by one
     total = diag_sum = 0.0
-    per_chunk = max(1, _CHUNK // (mu * (n - mu)))
-    subsets = combinations(range(n), mu)
-    while True:
-        alpha = np.array(list(islice(subsets, per_chunk)), dtype=np.intp).reshape(-1, mu)
-        if not len(alpha):
-            break
-        members = np.zeros((len(alpha), n), dtype=bool)
-        members[np.arange(len(alpha))[:, None], alpha] = True
-        rest = np.nonzero(~members)[1].reshape(len(alpha), n - mu)
-        e_alpha = w[alpha].sum(axis=1)     # flat index of 1 on alpha, 0 elsewhere
-        ea, x, y = (v.ravel() for v in np.broadcast_arrays(
-            e_alpha[:, None, None], alpha[:, :, None], rest[:, None, :]))
-        wx, wy = w[x], w[y]
-        pairs = np.arange(len(x))
-        not_y = np.ones((len(x), n), dtype=bool)
-        not_y[pairs, y] = False
-        for k in range(f - 1):
-            flat_a = k * level + ea
-            total += np.abs(omega.elements(flat_a, flat_a - wx + wy)).sum()
-            total -= np.sqrt(omega.diagonal(flat_a - wx) * omega.diagonal(flat_a + wy)).sum()
-            diag_sum += omega.diagonal(k * level + e_alpha).sum()
-            for l in range(k):
-                flat_b = l * level + ea - wx + wy
-                steps = np.broadcast_to((l - k) * w, (len(x), n)).copy()
-                steps[pairs, x] -= wx
-                cross = np.abs(omega.elements(flat_a, flat_b)) - _subset_root_sum(
-                    omega, flat_a, flat_b, steps[not_y].reshape(len(x), n - 1), proper=True)
-                total += 2.0 * cross.sum()
+    for pair, lower, upper, diag, crosses in _planned(
+            prov, ("dicke", m, f), lambda: _dicke_batches(prov.shape, m, f)):
+        total += np.abs(omega.elements(*pair)).sum()
+        total -= np.sqrt(omega.diagonal(lower) * omega.diagonal(upper)).sum()
+        diag_sum += omega.diagonal(diag).sum()
+        for flat_a, flat_b, batches in crosses:
+            cross = np.abs(omega.elements(flat_a, flat_b)) - _subset_root_sum(
+                omega, batches, len(flat_a))
+            total += 2.0 * cross.sum()
     return total - mu * (n - mu - 1) * (f - 1) * diag_sum
 
 
@@ -298,10 +402,11 @@ def ppt_check(state, block, tol=DEFAULT_TOL, max_dim=None):
     value = -(minimal eigenvalue of rho^{T_block}); positive value means
     NPT, hence entangled across the cut.  A DensityMatrix is transposed
     and diagonalised whole.  A MixtureProvider, L + w_noise I/D with L on
-    s support indices, never is: L^{T_block} vanishes off a set S of at
-    most s^2 indices (MixtureProvider.low_rank_partial_transpose), so
+    s support indices, never is: L^{T_block} vanishes off a set S of
+    |S| >= s indices, the off-block digit patterns of the support times
+    its block patterns (MixtureProvider.low_rank_partial_transpose), so
     lambda_min = w_noise/D + min(lambda_min(L^{T_block} on S), 0 if
-    |S| < D).  max_dim caps s^2 there (default the dense cap).
+    |S| < D).  max_dim caps |S| there (default the dense cap).
     """
     if isinstance(state, DensityMatrix):
         least = hermitian_spectrum(partial_transpose(state, block))[0]
@@ -325,7 +430,7 @@ def _probe_value(state, k, probe, cap):
     if not 2 <= k <= n:
         raise DomainError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
     probe = _coerce_probe(probe).validate(prov.shape)
-    off, s = _probe_terms(prov, probe.a, probe.b, k, cap)
+    off, s = _probe_terms(prov, (probe.a,), (probe.b,), k, cap)
     return probe, float(off[0]), float(s[0])
 
 
@@ -423,9 +528,8 @@ def q0_value(state, f=2, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
         raise DomainError(f"f must satisfy 2 <= f <= d, got f={f}, d={d}")
     q0 = 0.0
     for l in range(d):
-        others = np.array([k for k in range(d) if k != l])
-        off, s = _probe_terms(prov, np.full((d - 1, n), l), np.repeat(others[:, None], n, 1),
-                              2, cap)
+        others = tuple((k,) * n for k in range(d) if k != l)
+        off, s = _probe_terms(prov, ((l,) * n,) * (d - 1), others, 2, cap)
         q0 += float((off - s).sum())
     return _report(
         "q0", q0, params={"d": d, "f": int(f), "detected_f": _detected_f(q0, d, tol)},

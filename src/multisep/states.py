@@ -10,6 +10,13 @@ beyond).  Every family here is of the form
 
 with sparse pure-state amplitude maps psi_t, which is exactly what the
 provider evaluates.
+
+A sweep over the mixing weights builds the family once:
+MixtureProvider.reweighted gives the same mixture at new weights,
+sharing the amplitude maps, the support tables and a store of the
+criteria's query plans, so each point only reweights the tables.  A
+provider that was never reweighted has no plan store, and the criteria
+stream their queries in bounded chunks.
 """
 
 from __future__ import annotations
@@ -49,9 +56,14 @@ class ElementProvider:
     shape.index_dtype); the defaults here fall back to element() one
     query at a time, and the built-in providers answer with array
     lookups.  Providers are immutable and shareable.
+
+    `plans` is the store in which the criteria keep their query plans
+    (the flat-index arrays they pass to elements and diagonal), shared
+    by every provider of one sweep; None, the default, makes them stream.
     """
 
     shape: SystemShape
+    plans = None
 
     def element(self, bra, ket):
         raise NotImplementedError
@@ -116,33 +128,57 @@ class MixtureProvider(ElementProvider):
         if not isinstance(shape, SystemShape):
             shape = SystemShape(shape)
         self.shape = shape
+        terms = list(terms)
+        weights, noise_weight = _checked_weights([w for w, _ in terms], noise_weight)
         self.terms = []
-        for weight, amps in terms:
-            if weight < 0:
-                raise DomainError(f"mixture weight {weight} is negative")
-            amps = {shape.validate_index(k): complex(v) for k, v in amps.items()}
-            self.terms.append((float(weight), amps))
-        if noise_weight < -1e-12:
-            raise DomainError(f"noise weight {noise_weight} is negative")
-        self.noise_weight = max(float(noise_weight), 0.0)
-        total_w = sum(w for w, _ in self.terms) + self.noise_weight
-        if abs(total_w - 1.0) > 1e-9:
-            raise DomainError(f"mixture weights sum to {total_w}, expected 1")
+        flats = []
+        for weight, (_, amps) in zip(weights, terms):
+            flat, keys = _encode(shape, list(amps))
+            values = [complex(v) for v in amps.values()]
+            self.terms.append((weight, dict(zip(keys, values))))
+            flats.append((flat, values))
 
-        live = [(w, amps) for w, amps in self.terms if w != 0.0]
-        place = [int(x) for x in shape.place_values()]
-        flat = {mi: sum(x * p for x, p in zip(mi, place)) for _, amps in live for mi in amps}
-        support = sorted(set(flat.values()))
-        column = {x: i for i, x in enumerate(support)}
+        self._live = tuple(t for t, w in enumerate(weights) if w != 0.0)
+        live = [flats[t] for t in self._live]
+        support = sorted({x for flat, _ in live for x in flat.tolist()})
         # The sentinel `total` is no flat index, so every miss lands on it.
         self._keys = np.array(support + [shape.total], dtype=shape.index_dtype)
         self._amps = np.zeros((len(live), len(self._keys)), dtype=complex)
-        for t, (_, amps) in enumerate(live):
-            for mi, a in amps.items():
-                self._amps[t, column[flat[mi]]] = a
-        weights = np.array([w for w, _ in live]).reshape(-1, 1)
-        self._weighted = weights * self._amps
+        for row, (flat, values) in zip(self._amps, live):
+            row[self._keys.searchsorted(flat)] = values
+        self._set_weights(weights, noise_weight)
+
+    def _set_weights(self, weights, noise_weight):
+        self.noise_weight = noise_weight
+        live = np.array([weights[t] for t in self._live]).reshape(-1, 1)
+        self._weighted = live * self._amps
         self._support_diag = (self._weighted * self._amps.conj()).real.sum(axis=0)
+
+    def reweighted(self, weights, noise_weight):
+        """The same mixture at term weights `weights` (one per term, in
+        order) and noise weight `noise_weight`, checked as the constructor
+        checks them.
+
+        The copy shares the amplitude maps and, while the same terms stay
+        nonzero, the support tables; a change in the nonzero terms builds
+        the tables anew.  It also shares the query-plan store (`plans`)
+        of this provider, or starts one: the criteria record their index
+        arrays once per sweep and replay them at every point.  The store
+        lives as long as the providers that share it.
+        """
+        weights, noise_weight = _checked_weights(weights, noise_weight)
+        if len(weights) != len(self.terms):
+            raise DomainError(
+                f"{len(weights)} weights given for a mixture of {len(self.terms)} terms")
+        terms = [(w, amps) for w, (_, amps) in zip(weights, self.terms)]
+        if tuple(t for t, w in enumerate(weights) if w != 0.0) == self._live:
+            out = object.__new__(MixtureProvider)
+            vars(out).update(vars(self), terms=terms)
+            out._set_weights(weights, noise_weight)
+        else:
+            out = MixtureProvider(self.shape, terms, noise_weight)
+        out.plans = {} if self.plans is None else self.plans
+        return out
 
     def element(self, bra, ket):
         bra = self.shape.validate_index(bra)
@@ -185,28 +221,36 @@ class MixtureProvider(ElementProvider):
         support indices.  Partial transposition moves L[x, y] to (x', y'),
         x' being x with its block digits taken from y and y' being y with
         its block digits taken from x, so it vanishes off S x S, where S
-        (sorted flat indices) is the set of every x' and |S| <= s^2.  The
-        cap max_dim (default the dense cap) bounds s^2 and is checked
-        before anything is allocated.
+        (sorted flat indices) is the set of every x'.  S joins each of the
+        |O| distinct off-block digit patterns of the support with each of
+        its |B| distinct block patterns, so s <= |S| = |O| |B|.  The cap
+        max_dim (default the dense cap) bounds |S|, and so L and M; it is
+        checked in O(s) before either is built.
         """
         block = _check_block(block, self.shape.n)
-        s = len(self._keys) - 1
-        cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
-        if s * s > cap:
-            raise ResourceError(
-                f"partial transpose on the support needs s^2 = {s * s} entries "
-                f"({s} support indices) and exceeds the cap {cap}")
         keys = self._keys[:-1]
         place = self.shape.place_values()[block]
         dims = np.array(self.shape.dims, dtype=self.shape.index_dtype)[block]
         in_block = ((keys[:, None] // place) % dims * place).sum(axis=1)
+        off, off_of = np.unique(keys - in_block, return_inverse=True)
+        on, on_of = np.unique(in_block, return_inverse=True)
+        size = len(off) * len(on)
+        cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
+        if size > cap:
+            raise ResourceError(
+                f"partial transpose on the support needs |S| = {size} indices "
+                f"({len(off)} off-block times {len(on)} block patterns of "
+                f"{len(keys)} support indices) and exceeds the cap {cap}")
+        # every off + on is distinct: they fill disjoint digits
+        joined = (off[:, None] + on[None, :]).ravel()
+        order = np.argsort(joined)
+        rank = np.empty(size, dtype=np.intp)
+        rank[order] = np.arange(size)
         # x' = x off the block + y on it; y' of (x, y) is x' of (y, x)
-        moved = (keys - in_block)[:, None] + in_block[None, :]
-        support, where = np.unique(moved, return_inverse=True)
-        where = where.reshape(s, s)
-        mat = np.zeros((len(support), len(support)), dtype=complex)
+        where = rank.reshape(len(off), len(on))[off_of[:, None], on_of[None, :]]
+        mat = np.zeros((size, size), dtype=complex)
         mat[where, where.T] = self._weighted[:, :-1].T @ self._amps[:, :-1].conj()
-        return support, mat
+        return joined[order], mat
 
     def _dense_matrix(self):
         total = self.shape.total
@@ -218,6 +262,38 @@ class MixtureProvider(ElementProvider):
         mat[np.ix_(keys, keys)] = block
         mat[np.diag_indices(total)] += self.noise_weight / total
         return mat
+
+
+def _checked_weights(weights, noise_weight):
+    """(weights as floats, noise weight clipped at 0) of a mixture, or
+    DomainError if one is negative or they do not sum to 1."""
+    for weight in weights:
+        if weight < 0:
+            raise DomainError(f"mixture weight {weight} is negative")
+    weights = [float(w) for w in weights]
+    if noise_weight < -1e-12:
+        raise DomainError(f"noise weight {noise_weight} is negative")
+    noise_weight = max(float(noise_weight), 0.0)
+    total_w = sum(weights) + noise_weight
+    if abs(total_w - 1.0) > 1e-9:
+        raise DomainError(f"mixture weights sum to {total_w}, expected 1")
+    return weights, noise_weight
+
+
+def _encode(shape, multi_indices):
+    """(flat indices as an array of shape.index_dtype, multi-indices as
+    tuples of ints) of a list of multi-indices, checked as
+    shape.validate_index checks them, in array operations."""
+    try:
+        labels = np.array(multi_indices, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        labels = None
+    if (labels is None or labels.shape != (len(multi_indices), shape.n)
+            or not ((labels >= 0) & (labels < np.array(shape.dims))).all()):
+        # one index at a time, so that the error names the first bad one
+        labels = np.array([shape.validate_index(mi) for mi in multi_indices],
+                          dtype=np.int64).reshape(len(multi_indices), shape.n)
+    return (labels * shape.place_values()).sum(axis=1), list(map(tuple, labels.tolist()))
 
 
 class FlippedProvider(ElementProvider):
@@ -354,6 +430,41 @@ def _check_simplex(*weights):
         raise DomainError(f"mixing weights {weights} outside the simplex")
 
 
+def family_weights(family, *, n=None, alpha=None, beta=0.0, p=None):
+    """(term weights, noise weight) of a noise family (see family_state),
+    one weight per amplitude map in the family's order, checked against
+    the simplex.  family_state and the scan/threshold sweeps take their
+    weights from here."""
+    if family == "ghz-iso":
+        if n is None or alpha is None:
+            raise DomainError("ghz-iso needs n and alpha")
+        _check_simplex(alpha)
+        return (alpha,), 1.0 - alpha
+    if family == "dicke-iso":
+        if n is None or p is None:
+            raise DomainError("dicke-iso needs n and p")
+        _check_simplex(p)
+        return (p,), 1.0 - p
+    if family in ("ghz-w", "gmd"):
+        if n is None or alpha is None:
+            needs = "n and alpha" if family == "ghz-w" else "n, d and alpha"
+            raise DomainError(f"{family} needs {needs} (beta defaults to 0)")
+        _check_simplex(alpha, beta)
+        return (alpha, beta), 1.0 - alpha - beta
+    raise DomainError(f"unknown family {family!r}")
+
+
+def _family_amplitudes(family, n, d, m):
+    """(shape, amplitude maps) of a family that family_weights accepted."""
+    if family == "ghz-iso":
+        return qudits(n, d), [ghz_amplitudes(n, d)]
+    if family == "dicke-iso":
+        return qudits(n, d), [dicke_amplitudes(n, m, d)]
+    if family == "ghz-w":
+        return qudits(n, 2), [ghz_amplitudes(n, 2), dicke_amplitudes(n, 1, 2)]
+    return qudits(n, d), [ghz_amplitudes(n, d), dicke_amplitudes(n, 1, d)]
+
+
 def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
                  representation="dense", max_dim=None):
     """Parametric noise families, dense (within the dense cap max_dim) or
@@ -365,35 +476,9 @@ def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
       ghz-w      alpha * GHZ + beta * W + (1-alpha-beta)/2^n * I   (qubits)
       gmd        alpha * GHZ_d^n + beta * W_d^n + (1-alpha-beta)/d^n * I
     """
-    if family == "ghz-iso":
-        if n is None or alpha is None:
-            raise DomainError("ghz-iso needs n and alpha")
-        _check_simplex(alpha)
-        terms = [(alpha, ghz_amplitudes(n, d))]
-        noise = 1.0 - alpha
-    elif family == "dicke-iso":
-        if n is None or p is None:
-            raise DomainError("dicke-iso needs n and p")
-        _check_simplex(p)
-        terms = [(p, dicke_amplitudes(n, m, d))]
-        noise = 1.0 - p
-    elif family == "ghz-w":
-        if n is None or alpha is None:
-            raise DomainError("ghz-w needs n and alpha (beta defaults to 0)")
-        _check_simplex(alpha, beta)
-        d = 2
-        terms = [(alpha, ghz_amplitudes(n, 2)), (beta, dicke_amplitudes(n, 1, 2))]
-        noise = 1.0 - alpha - beta
-    elif family == "gmd":
-        if n is None or alpha is None:
-            raise DomainError("gmd needs n, d and alpha (beta defaults to 0)")
-        _check_simplex(alpha, beta)
-        terms = [(alpha, ghz_amplitudes(n, d)), (beta, dicke_amplitudes(n, 1, d))]
-        noise = 1.0 - alpha - beta
-    else:
-        raise DomainError(f"unknown family {family!r}")
-
-    provider = MixtureProvider(qudits(n, d), terms, noise)
+    weights, noise = family_weights(family, n=n, alpha=alpha, beta=beta, p=p)
+    shape, amplitudes = _family_amplitudes(family, n, d, m)
+    provider = MixtureProvider(shape, zip(weights, amplitudes), noise)
     if representation == "provider":
         return provider
     if representation == "dense":

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisep import DensityMatrix, ResourceError, cli, manybody
-from multisep.states import ElementProvider
+from multisep import DensityMatrix, ResourceError, cli, criteria, manybody
+from multisep.states import ElementProvider, family_state
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -181,13 +181,14 @@ class TestExitCodes:
             argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
             named = "dimension 256 exceeds the cap 100"
         else:
-            # PPT runs on the support: C(6, 3)^2 = 400 entries for dicke-iso n=6, m=3
-            argv = command + ["--family", "dicke-iso", "--n", "6", "--m", "3"]
-            named = "400 entries"
+            # PPT runs on the support: for dicke-iso n=8, m=4 and block 0 it
+            # has 70 off-block times 2 block digit patterns
+            argv = command + ["--family", "dicke-iso", "--n", "8", "--m", "4"]
+            named = "|S| = 140 indices"
         assert main(argv + ["--max-dim", "100"]) == 3
         assert named in capsys.readouterr().err
         if command[0] == "crit":
-            assert main(argv + ["--max-dim", "400"]) == 0
+            assert main(argv + ["--max-dim", "140"]) == 0
 
     def test_ppt_beyond_the_dense_cap(self, capsys):
         # D = 4^8 = 65536 > 2^14, but the support has 4 indices
@@ -199,12 +200,23 @@ class TestExitCodes:
         assert report["value"] == pytest.approx(0.5 / 4 - 0.5 / 4 ** 8, rel=0, abs=1e-12)
 
     def test_ppt_support_cap_names_its_size(self, capsys):
-        # C(20, 10) = 184756 support indices, 184756^2 = 34134779536
+        # C(20, 10) = 184756 support indices, whose 184756 off-block digit
+        # patterns times the 2 labels of site 0 give |S| = 369512
         code = main(["crit", "--crit", "ppt", "--family", "dicke-iso", "--n", "20",
                      "--m", "10", "--p", "0.5"])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("resource cap:") and "34134779536" in err
+        assert err.startswith("resource cap:") and "|S| = 369512 indices" in err
+
+    def test_ppt_within_the_support_cap(self, capsys):
+        # s^2 = 252^2 = 63504 is over the dense cap, |S| = 504 is not
+        argv = ["crit", "--crit", "ppt", "--family", "dicke-iso", "--n", "10", "--m", "5",
+                "--p", "0.5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rho = family_state("dicke-iso", n=10, m=5, p=0.5)
+        assert json.loads(out)["value"] == pytest.approx(
+            criteria.ppt_check(rho, [0]).value, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("block", ["0,0", "1,0,1", "3", "0,1,2"])
     def test_bad_ppt_block_is_usage_error(self, capsys, block):

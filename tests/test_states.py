@@ -24,7 +24,13 @@ from multisep import (
     vec_to_dm,
     w_state,
 )
-from multisep.states import MixtureProvider, dicke_amplitudes, ghz_amplitudes
+from multisep.states import (
+    MixtureProvider,
+    dicke_amplitudes,
+    family_weights,
+    ghz_amplitudes,
+)
+from multisep.tensor import SystemShape
 
 
 class TestReferenceStates:
@@ -191,6 +197,112 @@ class TestProviders:
     def test_mixture_weights_validated(self):
         with pytest.raises(DomainError):
             MixtureProvider(qubits(2), [(0.5, ghz_amplitudes(2))], noise_weight=0.2)
+
+
+def _reference_tables(shape, terms):
+    """(support keys, amplitude table) as the provider built them one
+    multi-index at a time, validating each with shape.validate_index."""
+    live = [{shape.validate_index(k): complex(v) for k, v in amps.items()}
+            for w, amps in terms if w != 0.0]
+    place = [int(x) for x in shape.place_values()]
+    flat = {mi: sum(x * p for x, p in zip(mi, place)) for amps in live for mi in amps}
+    support = sorted(set(flat.values()))
+    column = {x: i for i, x in enumerate(support)}
+    keys = np.array(support + [shape.total], dtype=shape.index_dtype)
+    table = np.zeros((len(live), len(keys)), dtype=complex)
+    for t, amps in enumerate(live):
+        for mi, a in amps.items():
+            table[t, column[flat[mi]]] = a
+    return keys, table
+
+
+class TestSupportEncoding:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2,) * 9, (5, 3)])
+    def test_tables_match_the_per_index_reference(self, rng, dims):
+        shape = SystemShape(dims)
+        terms = []
+        for weight in (0.3, 0.0, 0.2):
+            flats = rng.choice(shape.total, size=min(6, shape.total), replace=False)
+            amps = {tuple(np.int64(x) for x in shape.decode(f)): complex(*rng.normal(size=2))
+                    for f in flats}
+            terms.append((weight, amps))
+        prov = MixtureProvider(shape, terms, noise_weight=0.5)
+        keys, table = _reference_tables(shape, terms)
+        assert np.array_equal(prov._keys, keys) and prov._keys.dtype == keys.dtype
+        assert np.array_equal(prov._amps, table)
+        for (w, amps), (w_ref, amps_ref) in zip(prov.terms, terms):
+            assert w == w_ref
+            assert amps == {shape.validate_index(k): v for k, v in amps_ref.items()}
+            assert all(type(x) is int for mi in amps for x in mi)
+
+    def test_huge_shape_keeps_exact_indices(self):
+        # 3^45 > 2^63: flat indices are Python ints
+        shape = SystemShape((3,) * 45)
+        amps = {(2,) * 45: 0.6, (1,) * 44 + (0,): 0.8}
+        prov = MixtureProvider(shape, [(1.0, amps)])
+        keys, table = _reference_tables(shape, [(1.0, amps)])
+        assert prov._keys.dtype == object and list(prov._keys) == list(keys)
+        assert np.array_equal(prov._amps, table)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 2, 0), "label 2 out of range"),
+        ((0, -1, 1), "label -1 out of range"),
+        ((0, 1), "wrong length"),
+        ((0, 1, 0, 1), "wrong length"),
+    ])
+    def test_bad_multi_index_named(self, bad, message):
+        amps = {(0, 0, 0): 0.6, bad: 0.8}
+        with pytest.raises(DomainError, match=message) as info:
+            MixtureProvider(qubits(3), [(1.0, amps)])
+        with pytest.raises(DomainError) as expected:
+            qubits(3).validate_index(bad)
+        assert str(info.value) == str(expected.value)
+
+
+class TestReweighted:
+    @pytest.mark.parametrize("family, kwargs, points", [
+        ("ghz-iso", dict(n=3, d=3), [dict(alpha=a) for a in (0.2, 0.7, 1.0)]),
+        ("dicke-iso", dict(n=5, m=2), [dict(p=p) for p in (0.1, 0.9)]),
+        ("ghz-w", dict(n=4), [dict(alpha=0.1, beta=0.3), dict(alpha=0.6, beta=0.4)]),
+        ("gmd", dict(n=3, d=3), [dict(alpha=0.5, beta=0.25), dict(alpha=0.05, beta=0.5)]),
+    ])
+    def test_equals_a_fresh_provider_and_shares_its_tables(self, family, kwargs, points):
+        base = family_state(family, representation="provider", **kwargs, **points[0])
+        prov = base
+        for point in points:
+            prov = prov.reweighted(*family_weights(family, n=kwargs["n"], **point))
+            fresh = family_state(family, representation="provider", **kwargs, **point)
+            assert prov._keys is base._keys and prov._amps is base._amps
+            assert all(a is b for (_, a), (_, b) in zip(prov.terms, base.terms))
+            assert prov.terms == fresh.terms and prov.noise_weight == fresh.noise_weight
+            assert np.array_equal(prov._weighted, fresh._weighted)
+            assert np.array_equal(prov._support_diag, fresh._support_diag)
+            assert prov.plans is not None and base.plans is None
+        flat = np.arange(prov.shape.total)
+        assert np.array_equal(prov.elements(flat[:, None], flat[None, :]),
+                              fresh.elements(flat[:, None], flat[None, :]))
+
+    def test_a_change_of_nonzero_terms_rebuilds_the_tables(self):
+        base = family_state("ghz-w", n=3, alpha=0.5, beta=0.0, representation="provider")
+        first = base.reweighted([0.5, 0.0], 0.5)
+        prov = first.reweighted([0.5, 0.25], 0.25)
+        fresh = family_state("ghz-w", n=3, alpha=0.5, beta=0.25, representation="provider")
+        assert prov._keys is not base._keys and np.array_equal(prov._keys, fresh._keys)
+        assert np.array_equal(prov._amps, fresh._amps)
+        assert prov.plans is first.plans
+        noise = prov.reweighted([0.0, 0.0], 1.0)
+        assert len(noise._keys) == 1 and noise.diagonal([0, 7]).tolist() == [0.125, 0.125]
+
+    @pytest.mark.parametrize("weights, noise, message", [
+        ([-0.1, 0.5], 0.6, "mixture weight -0.1 is negative"),
+        ([0.5, 0.6], -0.1, "noise weight -0.1 is negative"),
+        ([0.5, 0.1], 0.1, "sum to"),
+        ([1.0], 0.0, "2 terms"),
+    ])
+    def test_weights_checked(self, weights, noise, message):
+        prov = family_state("gmd", n=3, alpha=0.2, beta=0.3, representation="provider")
+        with pytest.raises(DomainError, match=message):
+            prov.reweighted(weights, noise)
 
 
 class TestSmolin:
