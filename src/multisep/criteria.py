@@ -10,11 +10,14 @@ holds uniformly and thresholds are open intervals (violated strictly
 above).
 
 All evaluators accept dense DensityMatrix inputs or closed-form element
-providers interchangeably.  The PPT check takes a DensityMatrix or a
-MixtureProvider, whose partial transpose it diagonalises on the
-support only, without a dense matrix.
+providers interchangeably.  They read elements only in batches, through
+ElementProvider.elements / .diagonal on arrays of flat indices (a dense
+input is read through its DenseProvider); none calls the scalar
+element().  The PPT check takes a DensityMatrix or a MixtureProvider,
+whose partial transpose it diagonalises on the support only, without a
+dense matrix.
 
-The matrix-element criteria (bipartite, gme, ksep, q0, qm, dicke) are
+The partition-sum criteria (bipartite, gme, ksep, q0, qm, dicke) are
 one sum: off-diagonal moduli |rho_ab| minus, over partitions of the
 sites, products of cross diagonals (D+ D-)^(1/2k), where D+ and D- are
 the diagonals at a with b's labels on a block and at b with a's.  One
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import sqrt
 from types import GeneratorType
 
@@ -151,11 +154,6 @@ def _report(name, value, params=None, probe=None, tol=DEFAULT_TOL):
         params=params or {},
         probe=probe,
     )
-
-
-def _diag(el, mi):
-    """Real value of a diagonal element, clipped against tiny negative noise."""
-    return max(el(mi, mi).real, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +483,6 @@ def ksep_value(state, k, probe, doubled_first_term=False, tol=DEFAULT_TOL,
     )
 
 
-def _ones_at(members, n):
-    members = set(members)
-    return tuple(1 if i in members else 0 for i in range(n))
-
-
 def dicke_gme_value(state, m, tol=DEFAULT_TOL):
     """Dicke-tailored genuine-multipartite-entanglement criterion (qubits).
 
@@ -562,10 +555,6 @@ def qm_value(state, m, f=2, tol=DEFAULT_TOL):
     )
 
 
-def _complement_index(mi):
-    return tuple(1 - x for x in mi)
-
-
 def double_class_value(state, tol=DEFAULT_TOL):
     """Exclusion inequality for the two-term (GHZ-like) superposition class.
 
@@ -576,20 +565,17 @@ def double_class_value(state, tol=DEFAULT_TOL):
     n = prov.shape.n
     if prov.shape.uniform_dim != 2 or n < 3:
         raise DomainError("the class inequalities are defined for n >= 3 qubits")
-    el = prov.element
-    total = 0.0
-    sign = (-1.0) ** (n + 1)
-    for i in range(n):
-        wi = _ones_at({i}, n)
-        for j in range(n):
-            if i == j:
-                total -= (n - 2) * (_diag(el, wi) + _diag(el, _complement_index(wi)))
-                continue
-            wj = _ones_at({j}, n)
-            total += (el(wi, wj) + sign * el(_complement_index(wi), _complement_index(wj))).real
-            dij = _ones_at({i, j}, n)
-            total -= _diag(el, dij) + _diag(el, _complement_index(dij))
-    total -= n * (n - 1) / 2 * (_diag(el, (0,) * n) + _diag(el, (1,) * n))
+    # flat indices: w[i] is the single excitation at site i, and the
+    # complement of x is top - x
+    w = prov.shape.place_values()
+    top = prov.shape.total - 1
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    pairs = w[i] + w[j]
+    off = prov.elements(w[i], w[j]) + (-1.0) ** (n + 1) * prov.elements(top - w[i], top - w[j])
+    total = (off.real.sum()
+             - (n - 2) * prov.diagonal(np.concatenate([w, top - w])).sum()
+             - prov.diagonal(np.concatenate([pairs, top - pairs])).sum()
+             - n * (n - 1) / 2 * prov.diagonal(np.array([0, top])).sum())
     return _report("double_class", total, tol=tol)
 
 
@@ -604,9 +590,9 @@ def ntuple_class_value(state, tol=DEFAULT_TOL):
     if prov.shape.uniform_dim != 2 or n < 3:
         raise DomainError("the class inequalities are defined for n >= 3 qubits")
     alpha = 1.5 if n == 3 else (1.0 if n == 4 else 0.5)
-    el = prov.element
-    zeros, ones = (0,) * n, (1,) * n
-    value = el(zeros, ones).real - alpha * (1.0 - _diag(el, zeros) - _diag(el, ones))
+    top = prov.shape.total - 1
+    value = (prov.elements(0, top).real
+             - alpha * (1.0 - prov.diagonal(np.array([0, top])).sum()))
     return _report("ntuple_class", value, params={"alpha": alpha}, tol=tol)
 
 
@@ -635,13 +621,10 @@ def fidelity_witness_value(state, kind="ghz3", alpha=None, psi=None, tol=DEFAULT
         raise DomainError(
             f"witness shape {psi.shape.dims} does not match state shape {prov.shape.dims}"
         )
-    support = [psi.shape.decode(i) for i in np.nonzero(np.abs(psi.amp) > 1e-14)[0]]
-    fidelity = 0.0
-    for a in support:
-        for b in support:
-            fidelity += (
-                psi.amplitude(a).conjugate() * prov.element(a, b) * psi.amplitude(b)
-            ).real
+    support = np.flatnonzero(np.abs(psi.amp) > 1e-14)
+    amp = psi.amp[support]
+    block = prov.elements(support[:, None], support[None, :])
+    fidelity = (amp.conj()[:, None] * block * amp[None, :]).real.sum()
     return _report(
         "fidelity_witness", fidelity - alpha, params={"kind": kind, "alpha": alpha}, tol=tol
     )
@@ -662,18 +645,14 @@ def mlinear_value(state, probes, tol=DEFAULT_TOL):
     prov = as_provider(state)
     if prov.shape.n != 2:
         raise DomainError(f"the m-linear criterion needs n=2, got n={prov.shape.n}")
-    nodes = [prov.shape.validate_index(p) for p in probes]
+    nodes = np.array([prov.shape.validate_index(p) for p in probes]).reshape(-1, 2)
     m = len(nodes)
     if m < 2:
         raise DomainError("need at least two probe nodes")
-    el = prov.element
-
-    chain = complex(1.0)
-    diag_chain = 1.0
-    for i in range(m):
-        cur, nxt = nodes[i], nodes[(i + 1) % m]
-        chain *= el(cur, nxt)
-        diag_chain *= _diag(el, (nxt[0], cur[1]))
+    nxt = np.roll(nodes, -1, axis=0)
+    w = prov.shape.place_values()
+    chain = complex(np.prod(prov.elements(nodes @ w, nxt @ w)))
+    diag_chain = float(np.prod(prov.diagonal(nxt[:, 0] * w[0] + nodes[:, 1] * w[1])))
     negative = chain.real < -1e-15
     value = sqrt(max(chain.real, 0.0)) - sqrt(max(diag_chain, 0.0))
     return _report(
@@ -707,11 +686,9 @@ def rank_m_determinant(state, rows, tol=DEFAULT_TOL):
             "rank_m_det", 0.0, params={"m": m, "degenerate": True}, tol=tol
         )
 
-    mat = np.empty((m, m), dtype=complex)
-    for s in range(m):
-        for t in range(m):
-            mat[s, t] = prov.element((i_list[s], j_list[t]), (i_list[t], j_list[s]))
-    det = np.linalg.det(mat)
+    w = prov.shape.place_values()
+    i, j = np.array(i_list) * w[0], np.array(j_list) * w[1]
+    det = np.linalg.det(prov.elements(i[:, None] + j[None, :], i[None, :] + j[:, None]))
     return _report(
         "rank_m_det", -det.real, params={"m": m, "degenerate": False}, tol=tol
     )
@@ -733,9 +710,12 @@ def best_computational_probe(state, limit=4096):
     for x in range(shape.total):
         a = shape.decode(x)
         choices = [[v for v in range(dloc) if v != a[i]] for i, dloc in enumerate(shape.dims)]
-        for b in product(*choices):
-            val = abs(prov.element(a, b))
-            if val > best_val:
-                best_val = val
-                best = ProbePair(a, b)
+        # every b in product(*choices) order, as flat indices
+        flat_b = np.ravel_multi_index(np.ix_(*choices), shape.dims).ravel()
+        vals = prov.elements(x, flat_b)
+        vals = np.hypot(vals.real, vals.imag)  # abs() to the last bit, unlike np.abs
+        k = int(np.argmax(vals))  # the first of equal maxima, as in scan order
+        if vals[k] > best_val:
+            best_val = vals[k]
+            best = ProbePair(a, shape.decode(flat_b[k]))
     return best

@@ -43,7 +43,14 @@ import numpy as np
 from .applications import PAULI
 from .errors import DomainError, ResourceError
 from .partitions import iter_k_partitions
-from .tensor import DensityMatrix, StateVector, _check_dense_dim, kron_all, qubits
+from .tensor import (
+    DensityMatrix,
+    StateVector,
+    _check_dense_bytes,
+    _check_dense_dim,
+    kron_all,
+    qubits,
+)
 # hermitian_spectrum is not called here; perfbench/tracer.py wraps it on this module.
 from .tensor import hermitian_spectrum  # noqa: F401
 
@@ -312,8 +319,9 @@ def _weights(energies, e0, kT):
 def partition_function(ham, kT):
     """Z = sum_i exp(-E_i / kT) of the SpinHamiltonian `ham`."""
     _spin_count(ham)
-    if not kT > 0:
-        raise DomainError(f"temperature kT={kT} must be positive")
+    if kT is None:
+        raise DomainError("partition_function needs a temperature kT > 0, got None")
+    _check_temperature(kT)
     energies = ham.spectrum()[0]
     return float(np.sum(np.exp(-(energies - energies[0]) / kT)) * np.exp(-energies[0] / kT))
 
@@ -338,6 +346,7 @@ def thermal_state(ham, kT):
     n = _spin_count(ham)
     _check_temperature(kT)
     _check_dense_dim(2 ** n, None)
+    _check_dense_bytes(2 ** n, False)
     energies, sectors = ham.spectrum()
     norm = _weights(energies, energies[0], kT).sum()
     mat = np.zeros(ham.shape)

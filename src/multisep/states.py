@@ -34,6 +34,7 @@ from .tensor import (
     StateVector,
     SystemShape,
     _check_block,
+    _check_dense_bytes,
     _check_dense_dim,
     qudits,
 )
@@ -49,13 +50,15 @@ _BELL_AMPLITUDES = {
 class ElementProvider:
     """Closed-form access to density-matrix elements.
 
-    Subclasses implement element(bra, ket) on multi-indices and carry a
-    SystemShape; the accessor must be Hermitian-symmetric.  The batch
-    methods elements(bra_flat, ket_flat) and diagonal(flat) answer
-    elementwise over arrays of flat indices (any array shape, dtype
-    shape.index_dtype); the defaults here fall back to element() one
-    query at a time, and the built-in providers answer with array
-    lookups.  Providers are immutable and shareable.
+    A provider carries a SystemShape and answers batches:
+    elements(bra_flat, ket_flat) and diagonal(flat) elementwise over
+    arrays of flat indices (any array shape, dtype shape.index_dtype);
+    the accessor must be Hermitian-symmetric.  The criteria read
+    elements only this way.  The built-in providers answer with array
+    lookups, and their element(bra, ket) on multi-indices is the scalar
+    form of that answer.  A subclass may implement element() alone:
+    the batch defaults here then call it one query at a time.
+    Providers are immutable and shareable.
 
     `plans` is the store in which the criteria keep their query plans
     (the flat-index arrays they pass to elements and diagonal), shared
@@ -85,6 +88,7 @@ class ElementProvider:
 
     def to_dense(self, max_dim=None, validate=True):
         _check_dense_dim(self.shape.total, max_dim)
+        _check_dense_bytes(self.shape.total, validate)
         return DensityMatrix(self.shape, self._dense_matrix(), validate=validate,
                              max_dim=max_dim)
 
@@ -181,19 +185,7 @@ class MixtureProvider(ElementProvider):
         return out
 
     def element(self, bra, ket):
-        bra = self.shape.validate_index(bra)
-        ket = self.shape.validate_index(ket)
-        val = 0j
-        for weight, amps in self.terms:
-            if weight == 0.0:
-                continue
-            a = amps.get(bra)
-            b = amps.get(ket)
-            if a is not None and b is not None:
-                val += weight * a * b.conjugate()
-        if bra == ket:
-            val += self.noise_weight / self.shape.total
-        return val
+        return complex(self.elements(self.shape.encode(bra), self.shape.encode(ket)))
 
     def _columns(self, flat):
         """Table column of each flat index; indices off the support get the zero column."""
@@ -205,6 +197,9 @@ class MixtureProvider(ElementProvider):
         dtype = self.shape.index_dtype
         bra_flat = np.asarray(bra_flat, dtype=dtype)
         ket_flat = np.asarray(ket_flat, dtype=dtype)
+        if bra_flat.shape != ket_flat.shape:
+            # the tables' leading term axis would misalign them
+            bra_flat, ket_flat = np.broadcast_arrays(bra_flat, ket_flat)
         val = (self._weighted[:, self._columns(bra_flat)]
                * self._amps[:, self._columns(ket_flat)].conj()).sum(axis=0)
         return val + np.where(bra_flat == ket_flat, self.noise_weight / self.shape.total, 0.0)
@@ -249,33 +244,35 @@ class MixtureProvider(ElementProvider):
         # x' = x off the block + y on it; y' of (x, y) is x' of (y, x)
         where = rank.reshape(len(off), len(on))[off_of[:, None], on_of[None, :]]
         mat = np.zeros((size, size), dtype=complex)
-        mat[where, where.T] = self._weighted[:, :-1].T @ self._amps[:, :-1].conj()
+        mat[where, where.T] = self._low_rank()
         return joined[order], mat
+
+    def _low_rank(self):
+        """L = sum_t w_t |psi_t><psi_t| on the support, s x s."""
+        return self._weighted[:, :-1].T @ self._amps[:, :-1].conj()
 
     def _dense_matrix(self):
         total = self.shape.total
         keys = self._keys[:-1]
-        block = np.zeros((len(keys), len(keys)), dtype=complex)
-        for weighted, amps in zip(self._weighted[:, :-1], self._amps[:, :-1]):
-            block += np.outer(weighted, amps.conj())
         mat = np.zeros((total, total), dtype=complex)
-        mat[np.ix_(keys, keys)] = block
+        mat[np.ix_(keys, keys)] = self._low_rank()
         mat[np.diag_indices(total)] += self.noise_weight / total
         return mat
 
 
 def _checked_weights(weights, noise_weight):
     """(weights as floats, noise weight clipped at 0) of a mixture, or
-    DomainError if one is negative or they do not sum to 1."""
+    DomainError if one is negative or NaN or they do not sum to 1."""
+    # written so that a NaN weight fails every check
     for weight in weights:
-        if weight < 0:
-            raise DomainError(f"mixture weight {weight} is negative")
+        if not weight >= 0:
+            raise DomainError(f"mixture weight {weight} is negative or NaN")
     weights = [float(w) for w in weights]
-    if noise_weight < -1e-12:
-        raise DomainError(f"noise weight {noise_weight} is negative")
+    if not noise_weight >= -1e-12:
+        raise DomainError(f"noise weight {noise_weight} is negative or NaN")
     noise_weight = max(float(noise_weight), 0.0)
     total_w = sum(weights) + noise_weight
-    if abs(total_w - 1.0) > 1e-9:
+    if not abs(total_w - 1.0) <= 1e-9:
         raise DomainError(f"mixture weights sum to {total_w}, expected 1")
     return weights, noise_weight
 
@@ -297,21 +294,17 @@ def _encode(shape, multi_indices):
 
 
 class FlippedProvider(ElementProvider):
-    """View of a provider with every label flipped j -> d-1-j.
+    """View of a provider with every label flipped, j -> d_i-1-j on site i.
 
     On flat indices the flip is x -> total-1-x.
     """
 
     def __init__(self, inner):
         self.shape = inner.shape
-        self._d = inner.shape.uniform_dim
         self._inner = inner
 
     def element(self, bra, ket):
-        d = self._d
-        return self._inner.element(
-            tuple(d - 1 - x for x in bra), tuple(d - 1 - x for x in ket)
-        )
+        return complex(self.elements(self.shape.encode(bra), self.shape.encode(ket)))
 
     def _flip(self, flat):
         return (self.shape.total - 1) - np.asarray(flat, dtype=self.shape.index_dtype)

@@ -26,6 +26,12 @@ STATE_TOL = 1e-9
 # Largest total dimension for which dense matrices are built by default.
 DEFAULT_MAX_DENSE_DIM = 2 ** 14
 
+# Bytes one dense density matrix may take, with the temporaries of its
+# validation: the Hermiticity difference and the eigvalsh copy, two more
+# complex matrices of its size.  13 qubits (8192^2 x 16 B = 1 GiB)
+# pass unvalidated, not validated; the dense cap's 2^14 passes neither.
+_DENSE_BYTES = 1 << 31
+
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -126,6 +132,17 @@ def _check_dense_dim(total, max_dim):
         )
 
 
+def _check_dense_bytes(total, validate):
+    """ResourceError unless a total x total complex matrix, with its
+    validation temporaries if `validate`, fits in _DENSE_BYTES."""
+    need = (3 if validate else 1) * 16 * total ** 2
+    if need > _DENSE_BYTES:
+        raise ResourceError(
+            f"dense {total} x {total} density matrix needs {need} bytes"
+            f"{' with its validation' if validate else ''}, over the budget of "
+            f"{_DENSE_BYTES} bytes; use an element provider instead")
+
+
 class StateVector:
     """Normalised pure state on a composite system."""
 
@@ -164,6 +181,7 @@ class DensityMatrix:
         if not isinstance(shape, SystemShape):
             shape = SystemShape(shape)
         _check_dense_dim(shape.total, max_dim)
+        _check_dense_bytes(shape.total, validate)
         mat = np.asarray(entries, dtype=complex)
         if mat.shape != (shape.total, shape.total):
             raise DomainError(

@@ -169,6 +169,18 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_dense_bytes_checked_before_allocating(self, capsys, monkeypatch):
+        # 4^7 = 2^14 is within the dimension cap, but the matrix and its
+        # validation temporaries need 3 * 16 * 2^28 bytes; the matrix
+        # itself (np.zeros) is never allocated
+        zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: pytest.fail(
+            f"allocated {shape}") if np.prod(shape) > 1 << 20 else zeros(shape, *a, **k))
+        code = main(["state", "--family", "ghz-iso", "--n", "7", "--d", "4",
+                     "--alpha", "0.5"])
+        assert code == 3
+        assert f"needs {3 * 16 * 4 ** 14} bytes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["crit", "--crit", "ppt", "--p", "0.5"],
         ["scan", "--crit", "ppt", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],

@@ -151,6 +151,16 @@ class TestThermal:
         with pytest.raises(DomainError):
             thermal_state(h, 0.0)
 
+    @pytest.mark.parametrize("kT, message", [
+        (None, "needs a temperature kT > 0, got None"),
+        (0.0, "kT=0.0 must be positive"),
+        (float("nan"), "kT=nan must be positive"),
+    ])
+    def test_partition_function_needs_a_temperature(self, kT, message):
+        h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams())
+        with pytest.raises(DomainError, match=message):
+            partition_function(h, kT)
+
     def test_ground_manifold_mixture(self):
         h = SpinHamiltonian(Lattice.ring(3), HeisenbergParams.from_gamma(0.0))
         rho = ground_state_dm(h)

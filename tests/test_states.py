@@ -32,6 +32,8 @@ from multisep.states import (
 )
 from multisep.tensor import SystemShape
 
+NAN = float("nan")
+
 
 class TestReferenceStates:
     def test_dicke_4_2_display(self):
@@ -198,6 +200,27 @@ class TestProviders:
         with pytest.raises(DomainError):
             MixtureProvider(qubits(2), [(0.5, ghz_amplitudes(2))], noise_weight=0.2)
 
+    @pytest.mark.parametrize("terms, noise, message", [
+        ([(NAN, {(0, 0): 1.0})], 0.0, "mixture weight nan is negative or NaN"),
+        ([(NAN, {(0, 0): 1.0}), (1.0, {(1, 1): 1.0})], 0.0, "mixture weight nan"),
+        ([(1.0, {(0, 0): 1.0})], NAN, "noise weight nan is negative or NaN"),
+        ([(0.5, {(0, 0): 1.0})], NAN, "noise weight nan"),
+    ])
+    def test_nan_weights_refused(self, terms, noise, message):
+        with pytest.raises(DomainError, match=message):
+            MixtureProvider(qubits(2), terms, noise_weight=noise)
+
+    def test_to_dense_checks_bytes_before_allocating(self, monkeypatch):
+        # 3^9 = 19683 passes a raised dimension cap; 16 * 19683^2 bytes do
+        # not pass the byte budget, validated or not
+        prov = family_state("ghz-iso", n=9, d=3, alpha=0.5, representation="provider")
+        zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: pytest.fail(
+            f"allocated {shape}") if np.prod(shape) > 1 << 20 else zeros(shape, *a, **k))
+        for validate in (True, False):
+            with pytest.raises(ResourceError, match=r"needs \d+ bytes.*over the budget"):
+                prov.to_dense(max_dim=3 ** 9, validate=validate)
+
 
 def _reference_tables(shape, terms):
     """(support keys, amplitude table) as the provider built them one
@@ -298,6 +321,9 @@ class TestReweighted:
         ([0.5, 0.6], -0.1, "noise weight -0.1 is negative"),
         ([0.5, 0.1], 0.1, "sum to"),
         ([1.0], 0.0, "2 terms"),
+        ([NAN, 0.5], 0.5, "mixture weight nan is negative or NaN"),
+        ([0.5, NAN], 0.5, "mixture weight nan is negative or NaN"),
+        ([0.5, 0.5], NAN, "noise weight nan is negative or NaN"),
     ])
     def test_weights_checked(self, weights, noise, message):
         prov = family_state("gmd", n=3, alpha=0.2, beta=0.3, representation="provider")
