@@ -504,7 +504,11 @@ def build_parser():
         "manybody", help="entanglement gaps of a Heisenberg lattice",
         description="Entanglement gaps of a Heisenberg lattice.  detected_k is the largest "
                     "k whose E_ksep lies above the energy of the Gibbs state at --kT (of the "
-                    "ground level without it) by more than the optimiser slack.  "
+                    "ground level without it) by more than the optimiser slack.  E_ksep is "
+                    "the least energy a local search over product states found, an upper "
+                    "bound on the k-separable minimum: the slack covers incomplete "
+                    "convergence only, so a search that misses the global minimum of some "
+                    "orbit of k-partitions can report a k it has not proved.  "
                     "cgme_ground is the GME-concurrence of the ground state P e_x / |P e_x|, "
                     "where P projects onto the ground level (eigenvalues within 1e-9 of E0) "
                     "and x is the basis index with the largest P_xx, the smallest such x on "

@@ -22,11 +22,15 @@ The couplings and the field are uniform, so H commutes with every
 automorphism of the lattice, and all partitions in one orbit of the
 lattice's rotations and reflections (Lattice.automorphisms) have the
 same product-state minimum: the search covers one partition per orbit,
-the least one, with `restarts` random starts each.  Partitions with the
-same ordered block sizes are swept together as one batch.  Every energy
-reported is that of an actual product state, so the result is an upper
-bound on the true constrained minimum; detection keeps a slack margin
-in the conservative direction.
+the least restricted-growth row of k_partition_rows, with `restarts`
+random starts each.  Partitions with the same ordered block sizes are
+swept together as one batch.  Every energy reported is that of an
+actual product state found by a local search, so E_ksep is an upper
+bound on the true k-separable minimum, not a certified value.  The
+detection slack guards only against a search that has not fully
+converged; if the search misses the global minimum of some orbit, a
+state with energy between the true minimum and E_ksep is reported
+k-inseparable although it is not.
 
 References: H. Q. Lin, PRB 42, 6561 (1990) (exact diagonalisation by
 conserved sectors); G. Toth, PRA 71, 010301 (2005) (energy witnesses).
@@ -42,7 +46,9 @@ import numpy as np
 
 from .applications import PAULI
 from .errors import DomainError, ResourceError
-from .partitions import iter_k_partitions
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, k_partition_rows, orbit_representatives
+# iter_k_partitions is not called here; perfbench/tracer.py wraps it on this module.
+from .partitions import iter_k_partitions  # noqa: F401
 from .tensor import (
     DensityMatrix,
     StateVector,
@@ -451,9 +457,10 @@ def _chunk_len(sizes, restarts):
     return max(1, _CHUNK_BYTES // (hams + restarts * per_row))
 
 
-def _sweep_batch(ham, parts, starts, tol, max_iter):
-    """Anderson-accelerated block ground-state sweeps for partitions that
-    share their ordered block sizes, one row per (partition, restart).
+def _sweep_batch(ham, rows, starts, tol, max_iter):
+    """Anderson-accelerated block ground-state sweeps, one sweep row per
+    (partition, restart), for partitions that share their ordered block
+    sizes, given as k_partition_rows rows (site i of p in block rows[p, i]).
 
     A product state enters block A's update only through its neighbours'
     Bloch vectors: A takes the ground vector of
@@ -461,9 +468,9 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
     f_i^a = J_a/2 sum_{l not in A, (i, l) an edge} <sigma_a^l>, and the
     energy is sum_B <H_B> + 1/2 sum_{inter-block edges} sum_a J_a
     <sigma_a^i><sigma_a^l>.  Bloch vectors are held in each partition's
-    block-concatenated site order, so block j is a fixed slice and its
-    field one matmul with the permuted adjacency, whose within-block
-    entries are zero.
+    block-concatenated site order (a stable argsort of its row), so
+    block j is a fixed slice and its field one matmul with the permuted
+    adjacency, whose within-block entries are zero.
 
     One sweep is a map G from Bloch vectors x to the Bloch vectors and
     energy of the product state it builds.  A row's first _DEPTH sweeps
@@ -483,19 +490,18 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
     all its restarts stopped within max_iter sweeps.  Stopped rows leave
     the batch, which is compacted.
     """
-    sizes = [len(block) for block in parts[0].blocks]
+    sizes = np.bincount(rows[0]).tolist()
     cuts = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     restarts = starts[0].shape[1]
-    row_part = np.repeat(np.arange(len(parts)), restarts)
-    orders = np.array([sum(part.blocks, ()) for part in parts])
+    row_part = np.repeat(np.arange(len(rows)), restarts)
+    orders = np.argsort(rows, axis=1, kind="stable")
     adj = ham.lattice.adjacency()
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     adj = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] != block_of)
     adj = adj[row_part]
     coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
-    block_hams = [np.stack([ham.block(part.blocks[j]) for part in parts])
-                  for j in range(len(sizes))]
+    block_hams = [np.stack([ham.block(order[sl]) for order in orders]) for sl in slices]
     paulis = [_site_paulis(s) for s in sizes]
 
     def bloch_vectors(j, states):
@@ -519,7 +525,7 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
 
     x = np.concatenate([bloch_vectors(j, s.reshape(-1, s.shape[-1]))
                         for j, s in enumerate(starts)], axis=1).reshape(len(row_part), -1)
-    rows = np.arange(len(x))
+    live = np.arange(len(x))  # the rows still sweeping
     final = np.full(len(x), np.inf)
     stopped = np.zeros(len(x), dtype=bool)
     best = np.full(len(x), np.inf)
@@ -559,15 +565,15 @@ def _sweep_batch(ham, parts, starts, tol, max_iter):
             gamma = np.linalg.solve(gram, dr @ prev_res[mixing][:, :, None])
             x[mixing] -= (gamma.transpose(0, 2, 1) @ do)[:, 0]
         if done.any():
-            final[rows[done]] = best[done]
-            stopped[rows[done]] = True
+            final[live[done]] = best[done]
+            stopped[live[done]] = True
             keep = ~done
-            (x, rows, best, recent, d_res, d_out, prev_res, prev_out, follows, mixing, adj,
-             row_part) = (a[keep] for a in (x, rows, best, recent, d_res, d_out, prev_res,
+            (x, live, best, recent, d_res, d_out, prev_res, prev_out, follows, mixing, adj,
+             row_part) = (a[keep] for a in (x, live, best, recent, d_res, d_out, prev_res,
                                             prev_out, follows, mixing, adj, row_part))
-            if not rows.size:
+            if not live.size:
                 break
-    final[rows] = best
+    final[live] = best
     return final.reshape(-1, restarts).min(axis=1), stopped.reshape(-1, restarts).all(axis=1)
 
 
@@ -577,14 +583,18 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
 
     `ham` is a SpinHamiltonian.  Minimises <psi|H|psi> over product
     states of one canonical k-partition per orbit of the lattice's
-    automorphisms (ham.lattice.automorphisms()), the least partition of
-    each orbit: H commutes with those site permutations, so every
-    partition of an orbit has the same minimum.  `restarts` counts the
-    random starts per orbit, where searching every partition gave an
-    orbit |orbit| * restarts starts.  The search runs by sweeps of exact
-    block ground-state updates, each block in the mean field of its
-    neighbours' Bloch vectors, accelerated by Anderson mixing on those
-    Bloch vectors (see _sweep_batch).  An accelerated sweep that would
+    automorphisms G (ham.lattice.automorphisms()), the least
+    restricted-growth row of each orbit (orbit_representatives over the
+    chunks of k_partition_rows): H commutes with those site
+    permutations, so every partition of an orbit has the same minimum.
+    The orbits searched are capped at DEFAULT_ENUMERATION_CAP, counted
+    as they are kept, and the rows walked at that cap times |G|, checked
+    on S(n,k) before any sweep; either raises ResourceError.  `restarts`
+    counts the random starts per orbit, where searching every partition
+    gave an orbit |orbit| * restarts starts.  The search runs by sweeps
+    of exact block ground-state updates, each block in the mean field of
+    its neighbours' Bloch vectors, accelerated by Anderson mixing on
+    those Bloch vectors (see _sweep_batch).  An accelerated sweep that would
     raise a restart's energy is rejected and replaced by a plain sweep,
     which cannot, and the energy kept is the best accepted one, always
     that of an actual product state.  Only block Hamiltonians are built,
@@ -606,12 +616,13 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     _DEPTH sweeps (a block whose ground level is degenerate has Bloch
     vectors that never settle, and its energy goes flat instead).  A
     searched partition whose restarts have not all stopped after max_iter
-    sweeps keeps its best value and is named in `nonconverged`, so that
-    names orbit representatives only.  A known lower bound (the exact
-    ground energy) ends the search, checked after every batch, once the
-    best energy over the searched partitions up to some point in
-    enumeration order is within tol of it; the result then covers exactly
-    those partitions, as a one-partition-at-a-time search would.
+    sweeps keeps its best value and is named in `nonconverged` as a
+    Partition, so that names orbit representatives only.  A known lower
+    bound (the exact ground energy) ends the search, checked after every
+    batch, once the best energy over the searched partitions up to some
+    point in enumeration order is within tol of it; the result then
+    covers exactly those partitions, as a one-partition-at-a-time search
+    would.
     """
     n = _spin_count(ham)
     if not 1 <= k <= n:
@@ -632,34 +643,40 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
         """Sweep one batch, then fold every result that is next in
         enumeration order into best; True once best reaches the floor."""
         nonlocal best, cursor
-        parts = [part for _, part, _ in batch]
+        rows = np.array([row for _, row, _ in batch])
         starts = [np.stack(block) for block in zip(*(s for _, _, s in batch))]
-        energies, converged = _sweep_batch(ham, parts, starts, tol, max_iter)
-        for (index, part, _), energy, ok in zip(batch, energies, converged):
-            settled[index] = (part, float(energy), ok)
+        energies, converged = _sweep_batch(ham, rows, starts, tol, max_iter)
+        for (index, row, _), energy, ok in zip(batch, energies, converged):
+            settled[index] = (row, float(energy), ok)
         while cursor in settled:
-            part, energy, ok = settled.pop(cursor)
+            row, energy, ok = settled.pop(cursor)
             cursor += 1
             best = min(best, energy)
             if not ok:
-                nonconverged.append(part)
+                nonconverged.append(Partition([np.flatnonzero(row == b) for b in range(k)]))
             if best <= floor:
                 return True
         return False
 
-    pending = {}  # block sizes -> [(index, partition, start states)]
-    for index, part in enumerate(
-            iter_k_partitions(n, k, symmetries=ham.lattice.automorphisms())):
+    group = ham.lattice.automorphisms()
+    cap = DEFAULT_ENUMERATION_CAP
+    representatives = (row for chunk in k_partition_rows(n, k, cap * len(group))
+                       for row in orbit_representatives(chunk, group))
+    pending = {}  # block sizes -> [(index, row, start states)]
+    for index, row in enumerate(representatives):
+        if index == cap:
+            raise ResourceError(f"the {k}-partitions of {n} sites fall into more than "
+                                f"{cap} lattice-automorphism orbits, over the cap {cap}")
+        sizes = tuple(np.bincount(row).tolist())
         starts = []
-        for block in part.blocks:
-            dim = 2 ** len(block)
+        for size in sizes:
+            dim = 2 ** size
             v = rng.standard_normal((restarts, dim)) + 1j * rng.standard_normal(
                 (restarts, dim)
             )
             starts.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-        sizes = tuple(len(b) for b in part.blocks)
         batch = pending.setdefault(sizes, [])
-        batch.append((index, part, starts))
+        batch.append((index, row, starts))
         if len(batch) >= _chunk_len(sizes, restarts):
             del pending[sizes]
             if run(batch):
@@ -692,8 +709,10 @@ class GapReport:
 
     def detects(self, energy, k, slack=None):
         """True when a state of energy tr(rho H) = `energy` sits strictly
-        below E_ksep minus the optimiser slack (self.slack unless given),
-        certifying k-inseparability."""
+        below E_ksep minus the optimiser slack (self.slack unless given).
+        That proves k-inseparability only if E_ksep, an upper bound from
+        a local search, is the true k-separable minimum: the slack covers
+        incomplete convergence, not a missed global minimum of an orbit."""
         if k not in self.energies:
             raise DomainError(f"report carries no E_ksep for k={k}")
         margin = self.slack if slack is None else slack

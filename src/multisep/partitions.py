@@ -5,8 +5,8 @@ internally sorted, pairwise disjoint, cover the full label set, and are
 ordered by their smallest element -- so label 0 always sits in block 0.
 This keeps exactly one representative per partition and avoids the
 k!-fold degeneracy of enumerating ordered block tuples.  Under a group
-of site permutations the enumeration can also keep one partition per
-orbit (orbit_representatives).
+of site permutations, orbit_representatives keeps one row of
+k_partition_rows per orbit.
 """
 
 from __future__ import annotations
@@ -85,23 +85,16 @@ def bell_number(n):
     return sum(stirling2(n, k) for k in range(1, n + 1))
 
 
-def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP, symmetries=None):
+def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):
     """Yield every canonical k-partition of {0, ..., n-1}.
 
     Deterministic restricted-growth-string order; streaming, so criteria
     can fold over partitions without materialising the list.  Raises
     ResourceError (carrying the count) if S(n,k) exceeds the cap.  A
     Partition view of k_partition_rows.
-
-    `symmetries`, if given, is a group of site permutations, one row p
-    per element (site i -> p[i]); then only the least partition of each
-    orbit is yielded (see orbit_representatives), still in enumeration
-    order.  The cap applies to S(n,k), all partitions enumerated.
     """
     n, k = _check_nk(n, k)
     for chunk in k_partition_rows(n, k, cap):
-        if symmetries is not None:
-            chunk = orbit_representatives(chunk, symmetries)
         for row in chunk.tolist():
             blocks = [[] for _ in range(k)]
             for label, b in enumerate(row):

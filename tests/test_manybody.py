@@ -6,6 +6,7 @@ from multisep import (
     DomainError,
     HeisenbergParams,
     Lattice,
+    Partition,
     ResourceError,
     SpinHamiltonian,
     StateVector,
@@ -25,7 +26,8 @@ from multisep import (
     thermal_energy,
     thermal_state,
 )
-from multisep import manybody
+from multisep import cli, manybody
+from multisep.partitions import k_partition_rows, orbit_representatives
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -449,6 +451,17 @@ class TestMeanField:
                         assert np.max(np.abs(diff - shift * np.eye(d))) < 1e-12
 
 
+RING8_CHAIN = {
+    2: -6.487154267775843,
+    3: -6.232050807568863,
+    4: -5.999999999999986,
+    5: -5.366222282372173,
+    6: -4.8816489142772985,
+    7: -4.414213562373096,
+    8: -4.000000000000001,
+}
+
+
 class TestMinKsepEnergy:
     def test_never_builds_the_dense_matrix(self, monkeypatch):
         def refuse(self):
@@ -515,6 +528,15 @@ class TestMinKsepEnergy:
         ours = min_ksep_energy(h, 4, restarts=16, seed=0)
         assert ours.energy == pytest.approx(best, abs=1e-4)
 
+    def test_ring8_chain_to_the_bit(self):
+        """E_ksep of the isotropic ring(8), pinned with ==: any change to
+        the partitions searched, their order, the start states or the
+        sweep arithmetic moves some last bit."""
+        ham = SpinHamiltonian(Lattice.ring(8), HeisenbergParams.from_gamma(0.0))
+        for k, want in RING8_CHAIN.items():
+            res = min_ksep_energy(ham, k, restarts=2, seed=0)
+            assert res.converged and res.energy == want, (k, res.energy)
+
     def test_k_domain(self):
         h = SpinHamiltonian(Lattice.chain(2), HeisenbergParams())
         with pytest.raises(DomainError):
@@ -525,6 +547,14 @@ class TestMinKsepEnergy:
         for restarts in (0, -1):
             with pytest.raises(DomainError, match="restarts must be at least 1"):
                 min_ksep_energy(h, 2, restarts=restarts)
+
+
+def _representatives(n, k, group):
+    """The Partitions of the rows orbit_representatives keeps, chunk by
+    chunk of k_partition_rows, in enumeration order."""
+    return tuple(Partition([np.flatnonzero(row == b) for b in range(k)])
+                 for chunk in k_partition_rows(n, k)
+                 for row in orbit_representatives(chunk, group))
 
 
 ORBIT_GRID = [(lattice, n, params, seeds)
@@ -560,9 +590,39 @@ class TestOrbitSearch:
             group = lattice.automorphisms()
             for k in range(2, lattice.n):
                 res = min_ksep_energy(ham, k, restarts=2, seed=0, max_iter=1)
-                assert res.nonconverged == tuple(
-                    iter_k_partitions(lattice.n, k, symmetries=group))
+                assert res.nonconverged == _representatives(lattice.n, k, group)
                 assert len(res.nonconverged) < len(list(iter_k_partitions(lattice.n, k)))
+
+    def test_cap_counts_the_orbits_searched(self, monkeypatch):
+        # ring(8) at k = 4: S(8,4) = 1701 partitions, |G| = 16, 137 orbits
+        ham = SpinHamiltonian(Lattice.ring(8), HeisenbergParams.from_gamma(0.0))
+        monkeypatch.setattr(manybody, "DEFAULT_ENUMERATION_CAP", 137)
+        # one sweep stops no row, so every orbit searched is named
+        res = min_ksep_energy(ham, 4, restarts=1, seed=0, max_iter=1)
+        assert res.nonconverged == _representatives(8, 4, Lattice.ring(8).automorphisms())
+        for cap in (110, 136):  # 1701 <= 16 * cap: the walk starts, orbit cap + 1 is refused
+            monkeypatch.setattr(manybody, "DEFAULT_ENUMERATION_CAP", cap)
+            with pytest.raises(ResourceError, match=f"more than {cap} lattice-automorphism"):
+                min_ksep_energy(ham, 4, restarts=1, seed=0, max_iter=1)
+
+    def test_cap_refuses_before_any_sweep(self, monkeypatch):
+        # 1701 > 16 * 100: more orbits than the cap, refused on S(8,4) alone
+        def refuse(*args):
+            raise AssertionError("swept")
+
+        ham = SpinHamiltonian(Lattice.ring(8), HeisenbergParams.from_gamma(0.0))
+        monkeypatch.setattr(manybody, "DEFAULT_ENUMERATION_CAP", 100)
+        monkeypatch.setattr(manybody, "_sweep_batch", refuse)
+        with pytest.raises(ResourceError,
+                           match="1701 4-partitions of 8 labels exceeds the cap 1600"):
+            min_ksep_energy(ham, 4, restarts=1, seed=0)
+
+    @pytest.mark.parametrize("cap,message", [(100, "exceeds the cap 1600"),
+                                             (110, "more than 110 lattice-automorphism")])
+    def test_cap_exits_3(self, monkeypatch, capsys, cap, message):
+        monkeypatch.setattr(manybody, "DEFAULT_ENUMERATION_CAP", cap)
+        assert cli.main(["manybody", "--n", "8", "--ks", "4", "--restarts", "1"]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestLapackFailure:
@@ -708,12 +768,12 @@ class TestClosedFormAnchors:
         """(0,1)|(2,3,4,5) of ring(6): at the optimum its blocks decouple,
         so plain alternating sweeps creep toward it for over 1000 sweeps."""
         ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.0))
-        part = next(p for p in iter_k_partitions(6, 2) if p.blocks == ((0, 1), (2, 3, 4, 5)))
         rng = np.random.default_rng(seed)
         starts = []
-        for block in part.blocks:
-            v = rng.standard_normal((1, 2, 2 ** len(block))) * (1 + 0j)
+        for size in (2, 4):
+            v = rng.standard_normal((1, 2, 2 ** size)) * (1 + 0j)
             v += 1j * rng.standard_normal(v.shape)
             starts.append(v / np.linalg.norm(v, axis=2, keepdims=True))
-        energy, converged = manybody._sweep_batch(ham, [part], starts, 1e-10, 100)
+        energy, converged = manybody._sweep_batch(
+            ham, np.array([[0, 0, 1, 1, 1, 1]]), starts, 1e-10, 100)
         assert converged[0] and abs(energy[0] + 3 + np.sqrt(3)) < 1e-12

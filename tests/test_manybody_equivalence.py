@@ -41,6 +41,15 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
 
+@pytest.fixture(autouse=True)
+def full_partition_search(monkeypatch):
+    """min_ksep_energy searches one partition per lattice-automorphism
+    orbit.  The oracle below searches every partition from the same
+    seeded start states, so here every lattice gets the trivial group,
+    under which the search visits every partition too."""
+    monkeypatch.setattr(Lattice, "automorphisms", lambda self: np.arange(self.n)[None])
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the code the batched optimiser and the bitwise builder replaced
 # ---------------------------------------------------------------------------
