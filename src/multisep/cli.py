@@ -92,7 +92,7 @@ def _parse_probe(text):
 
 def _load_density_matrix(args):
     with _file_errors(args.infile, "density-matrix file"):
-        return load_density_matrix(args.infile, max_dim=args.max_dim)
+        return load_density_matrix(args.infile)
 
 
 def _family_kwargs(args):
@@ -106,8 +106,7 @@ def _load_state(args):
     if getattr(args, "infile", None):
         return _load_density_matrix(args)
     if getattr(args, "family", None):
-        return family_state(args.family, representation="provider", max_dim=args.max_dim,
-                            **_family_kwargs(args))
+        return family_state(args.family, representation="provider", **_family_kwargs(args))
     raise DomainError("provide a state via --in FILE or --family NAME")
 
 
@@ -154,7 +153,7 @@ def _criterion(args):
     _check_tolerance("--tol", tol)
     if crit == "ppt":
         block = args.block or [0]
-        return lambda state: criteria.ppt_check(state, block, tol=tol, max_dim=args.max_dim)
+        return lambda state: criteria.ppt_check(state, block, tol=tol)
     if crit in ("bipartite", "gme", "ksep"):
         probe = _parse_probe(args.probe)
         if crit == "bipartite":
@@ -181,7 +180,7 @@ def _criterion(args):
 
 def cmd_state(args):
     if args.family:
-        rho = family_state(args.family, max_dim=args.max_dim, **_family_kwargs(args))
+        rho = family_state(args.family, **_family_kwargs(args))
     else:
         spec = StateSpec(
             kind=args.kind, n=args.n, d=args.d, m=args.m,
@@ -407,7 +406,6 @@ _SHARED_FLAGS = {
     "d": ("--d", {"type": int, "default": 2}),
     "seed": ("--seed", {"type": int, "default": 0}),
     "tol": ("--tol", {"type": float, "default": criteria.DEFAULT_TOL}),
-    "max_dim": ("--max-dim", {"type": int, "default": None, "dest": "max_dim"}),
 }
 
 
@@ -452,7 +450,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="construct a state and write it as JSON")
-    _add_common(p, "n", "d", "max_dim")
+    _add_common(p, "n", "d")
     _add_family(p)
     p.add_argument("--kind", default="ghz",
                    choices=["ghz", "w", "dicke", "smolin", "bell", "basis-product"])
@@ -464,14 +462,14 @@ def build_parser():
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("crit", help="evaluate a criterion on a state")
-    _add_common(p, "n", "d", "tol", "max_dim")
+    _add_common(p, "n", "d", "tol")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--in", dest="infile", default=None, help="density-matrix JSON file")
     p.set_defaults(func=cmd_crit)
 
     p = sub.add_parser("measure", help="entanglement measures")
-    _add_common(p, "max_dim")
+    _add_common(p)
     p.add_argument("--measure", required=True, choices=["cgme", "cgme-bound", "schmidt-rank"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--probe", default=None)
@@ -479,7 +477,7 @@ def build_parser():
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("scan", help="sweep a family parameter against a criterion")
-    _add_common(p, "n", "d", "tol", "max_dim")
+    _add_common(p, "n", "d", "tol")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--var", default=None,
@@ -491,7 +489,7 @@ def build_parser():
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("threshold", help="bisect a detection threshold")
-    _add_common(p, "n", "d", "tol", "max_dim")
+    _add_common(p, "n", "d", "tol")
     _add_family(p)
     _add_crit(p)
     p.add_argument("--var", default=None, help="mixing weight to bisect, as for scan")

@@ -71,7 +71,7 @@ from .partitions import (  # noqa: F401
     partition_count,
 )
 from .states import FlippedProvider, MixtureProvider, as_provider, ghz_state, w_state
-from .tensor import DensityMatrix, hermitian_spectrum, partial_transpose
+from .tensor import DensityMatrix, _check_dense_bytes, hermitian_spectrum, partial_transpose
 
 DEFAULT_TOL = 1e-10
 
@@ -394,7 +394,7 @@ def _coerce_probe(probe):
     return ProbePair(a, b)
 
 
-def ppt_check(state, block, tol=DEFAULT_TOL, max_dim=None):
+def ppt_check(state, block, tol=DEFAULT_TOL):
     """Negativity test under partial transposition of the given block.
 
     value = -(minimal eigenvalue of rho^{T_block}); positive value means
@@ -404,12 +404,18 @@ def ppt_check(state, block, tol=DEFAULT_TOL, max_dim=None):
     |S| >= s indices, the off-block digit patterns of the support times
     its block patterns (MixtureProvider.low_rank_partial_transpose), so
     lambda_min = w_noise/D + min(lambda_min(L^{T_block} on S), 0 if
-    |S| < D).  max_dim caps |S| there (default the dense cap).
+    |S| < D).  Either way the step holds the transpose and the conjugate
+    and difference of hermitian_spectrum's Hermiticity check, 48 D^2 or
+    48 |S|^2 bytes, checked against the dense budget before the
+    transpose is built (ResourceError above it), so |S| <= 6688.
     """
     if isinstance(state, DensityMatrix):
+        total = state.shape.total
+        _check_dense_bytes(48 * total ** 2,
+                           f"the partial transpose of a dense {total} x {total} state")
         least = hermitian_spectrum(partial_transpose(state, block))[0]
     elif isinstance(state, MixtureProvider):
-        support, low_rank = state.low_rank_partial_transpose(block, max_dim=max_dim)
+        support, low_rank = state.low_rank_partial_transpose(block)
         total = state.shape.total
         least = hermitian_spectrum(low_rank)[0] if len(support) else 0.0
         if len(support) < total:

@@ -49,23 +49,12 @@ from .errors import DomainError, ResourceError
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition, k_partition_rows, orbit_representatives
 # iter_k_partitions is not called here; perfbench/tracer.py wraps it on this module.
 from .partitions import iter_k_partitions  # noqa: F401
-from .tensor import (
-    DensityMatrix,
-    StateVector,
-    _check_dense_bytes,
-    _check_dense_dim,
-    kron_all,
-    qubits,
-)
+from .tensor import DensityMatrix, StateVector, _check_dense_bytes, kron_all, qubits
 # hermitian_spectrum is not called here; perfbench/tracer.py wraps it on this module.
 from .tensor import hermitian_spectrum  # noqa: F401
 
 DEFAULT_OPT_SLACK = 1e-6
 _DEGENERACY_TOL = 1e-9  # eigenvalues within this of E_0 span the ground manifold
-
-# Bytes the largest conserved sector's float64 block and eigenvectors may
-# take in SpinHamiltonian.spectrum().
-_SECTOR_BYTES = 1 << 31
 
 # Bytes of block and effective Hamiltonians and per-restart sweep state
 # one batch of partitions may hold; a partition that alone needs more
@@ -174,21 +163,22 @@ def heisenberg_hamiltonian(lattice, params, indices=None):
     (Jx - Jy z_i z_j)/2, where z = +1 for bit 0 and -1 for bit 1; every
     entry is real.  The flipped state's row is found by searchsorted in
     the index set; a flip with nonzero amplitude that leaves the set is a
-    DomainError.  The matrix dimension is checked before allocating
-    against the package's one dense cap, tensor.DEFAULT_MAX_DENSE_DIM =
-    2^14 (ResourceError for the dense matrix above n = 14).
+    DomainError.  Before anything of size dim is allocated, the bytes the
+    build holds at its peak are checked against the dense budget
+    (ResourceError above it): 8 dim (dim + n + 10 |E|), the matrix and,
+    per row, n site signs and at most ten 8-byte values per edge.
     """
     n = lattice.n
-    if indices is None:
-        _check_dense_dim(2 ** n, None)
-        x = np.arange(2 ** n)
-    else:
+    edges = np.array(lattice.edges, dtype=np.int64).reshape(-1, 2)
+    if indices is not None:
         x = np.asarray(indices, dtype=np.int64).reshape(-1)
-        _check_dense_dim(len(x), None)
         if not len(x) or x[0] < 0 or x[-1] >= 2 ** n or np.any(np.diff(x) <= 0):
             raise DomainError(f"indices must be sorted distinct basis indices of {n} sites")
-    dim = len(x)
-    edges = np.array(lattice.edges, dtype=np.int64).reshape(-1, 2)
+    dim = 2 ** n if indices is None else len(x)
+    _check_dense_bytes(8 * dim * (dim + n + 10 * len(edges)),
+                       f"the {dim} x {dim} Hamiltonian of {n} sites")
+    if indices is None:
+        x = np.arange(dim)
     z = 1.0 - 2.0 * _site_bits(x, n)
     zz = z[:, edges[:, 0]] * z[:, edges[:, 1]]  # [r, e]: z_i z_j of edge e in state x[r]
     h_mat = np.zeros((dim, dim))
@@ -270,21 +260,23 @@ class SpinHamiltonian:
         one popcount (Jx = Jy) or one popcount parity.  Each block is
         built by heisenberg_hamiltonian on the sector's indices and
         diagonalised on its own (_symmetric_eigh), so no 2^n x 2^n matrix
-        is built.  The largest sector's float64 block plus eigenvectors,
-        16 m^2 bytes for its m = C(n, n // 2) or 2^(n-1) states, is
-        checked against _SECTOR_BYTES before any sector is built
-        (ResourceError above it).  Within a degenerate level the
-        eigenvectors are whichever LAPACK returns."""
+        is built.  Before any sector is built, the bytes the solve holds
+        at its peak are checked against the dense budget (ResourceError
+        above it): 8 sum_i m_i^2 for every sector's eigenvectors, kept,
+        32 m^2 for the eigensolve of the largest, m states (its block,
+        LAPACK's copy and dsyevd's 2 m^2 doubles of workspace), and
+        8 (n + 10 |E|) for each basis state.  Within a degenerate level
+        the eigenvectors are whichever LAPACK returns."""
         if "spectrum" not in self._built:
             n, params = self.n, self.params
             magnetisation = params.jx == params.jy  # XX + YY then keeps the popcount
             largest = comb(n, n // 2) if magnetisation else 2 ** (n - 1)
-            need = 16 * largest ** 2
-            if need > _SECTOR_BYTES:
-                raise ResourceError(
-                    f"the largest conserved sector of H has {largest} states, whose "
-                    f"float64 block and eigenvectors need {need} bytes, over the budget "
-                    f"of {_SECTOR_BYTES} bytes")
+            # sum of m_i^2: the C(n, k)^2 sum to C(2n, n), two parity halves to 2 (2^(n-1))^2
+            squares = comb(2 * n, n) if magnetisation else 2 * largest ** 2
+            _check_dense_bytes(
+                8 * squares + 32 * largest ** 2 + 8 * 2 ** n * (n + 10 * len(self.lattice.edges)),
+                f"the largest conserved sector of H ({largest} states) with the "
+                "eigenvectors of every sector")
             label = _site_bits(np.arange(2 ** n), n).sum(axis=1)
             if not magnetisation:
                 label &= 1
@@ -351,8 +343,10 @@ def thermal_state(ham, kT):
     sector's V diag(p) V^T is scattered into place."""
     n = _spin_count(ham)
     _check_temperature(kT)
-    _check_dense_dim(2 ** n, None)
-    _check_dense_bytes(2 ** n, False)
+    # the float64 matrix and DensityMatrix's complex copy of it, 8 + 16
+    # bytes an entry; the sector products scattered into the matrix
+    # before the copy take at most 6 bytes an entry
+    _check_dense_bytes(24 * 4 ** n, f"the {2 ** n} x {2 ** n} Gibbs state")
     energies, sectors = ham.spectrum()
     norm = _weights(energies, energies[0], kT).sum()
     mat = np.zeros(ham.shape)
@@ -387,7 +381,7 @@ def ground_vector(ham):
     indices, ground = sectors[owner[x]][0], grounds[owner[x]]
     vec = np.zeros(2 ** n)
     vec[indices] = ground @ ground[np.searchsorted(indices, x)]
-    return StateVector(qubits(n), vec / np.linalg.norm(vec), max_dim=vec.size)
+    return StateVector(qubits(n), vec / np.linalg.norm(vec))
 
 
 @dataclass(frozen=True)

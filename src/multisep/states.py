@@ -27,15 +27,13 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .tensor import (
-    DEFAULT_MAX_DENSE_DIM,
     DensityMatrix,
     StateVector,
     SystemShape,
     _check_block,
     _check_dense_bytes,
-    _check_dense_dim,
     qudits,
 )
 
@@ -86,11 +84,12 @@ class ElementProvider:
         """Real diagonal elements <x|rho|x>, clipped at 0 against tiny negative noise."""
         return np.maximum(self.elements(flat, flat).real, 0.0)
 
-    def to_dense(self, max_dim=None, validate=True):
-        _check_dense_dim(self.shape.total, max_dim)
-        _check_dense_bytes(self.shape.total, validate)
-        return DensityMatrix(self.shape, self._dense_matrix(), validate=validate,
-                             max_dim=max_dim)
+    def to_dense(self, validate=True):
+        total = self.shape.total  # counted as DensityMatrix counts it, before it is built
+        _check_dense_bytes((3 if validate else 1) * 16 * total ** 2,
+                           f"a dense {total} x {total} density matrix"
+                           + (" with its validation" if validate else ""))
+        return DensityMatrix(self.shape, self._dense_matrix(), validate=validate)
 
     def _dense_matrix(self):
         idx = np.arange(self.shape.total)
@@ -114,7 +113,7 @@ class DenseProvider(ElementProvider):
     def diagonal(self, flat):
         return self._diag[flat]
 
-    def to_dense(self, max_dim=None, validate=True):
+    def to_dense(self, validate=True):
         return self._rho
 
 
@@ -209,7 +208,7 @@ class MixtureProvider(ElementProvider):
         val = self._support_diag[self._columns(flat)] + self.noise_weight / self.shape.total
         return np.maximum(val, 0.0)
 
-    def low_rank_partial_transpose(self, block, max_dim=None):
+    def low_rank_partial_transpose(self, block):
         """(S, M) with rho^{T_block} = M on S x S + noise_weight/total * I.
 
         The low-rank part L = sum_t w_t |psi_t><psi_t| lives on the s
@@ -218,9 +217,9 @@ class MixtureProvider(ElementProvider):
         its block digits taken from x, so it vanishes off S x S, where S
         (sorted flat indices) is the set of every x'.  S joins each of the
         |O| distinct off-block digit patterns of the support with each of
-        its |B| distinct block patterns, so s <= |S| = |O| |B|.  The cap
-        max_dim (default the dense cap) bounds |S|, and so L and M; it is
-        checked in O(s) before either is built.
+        its |B| distinct block patterns, so s <= |S| = |O| |B|.  |S| is
+        found in O(s), and the PPT step's peak, 48 |S|^2 bytes (see
+        criteria.ppt_check), is checked before L or M is built.
         """
         block = _check_block(block, self.shape.n)
         keys = self._keys[:-1]
@@ -230,12 +229,11 @@ class MixtureProvider(ElementProvider):
         off, off_of = np.unique(keys - in_block, return_inverse=True)
         on, on_of = np.unique(in_block, return_inverse=True)
         size = len(off) * len(on)
-        cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
-        if size > cap:
-            raise ResourceError(
-                f"partial transpose on the support needs |S| = {size} indices "
-                f"({len(off)} off-block times {len(on)} block patterns of "
-                f"{len(keys)} support indices) and exceeds the cap {cap}")
+        _check_dense_bytes(
+            48 * size ** 2,
+            f"the partial transpose on the support, |S| = {size} indices ({len(off)} "
+            f"off-block times {len(on)} block patterns of {len(keys)} support indices), "
+            "with its spectrum")
         # every off + on is distinct: they fill disjoint digits
         joined = (off[:, None] + on[None, :]).ravel()
         order = np.argsort(joined)
@@ -326,6 +324,7 @@ def as_provider(state):
 
 
 def _vector_from_amplitudes(shape, amps):
+    _check_dense_bytes(16 * shape.total, f"a state vector of dimension {shape.total}")
     vec = np.zeros(shape.total, dtype=complex)
     for mi, a in amps.items():
         vec[shape.encode(mi)] = a
@@ -390,7 +389,10 @@ def basis_product_state(labels, dims=None, d=2):
 def maximally_mixed(shape):
     if not isinstance(shape, SystemShape):
         shape = SystemShape(shape)
-    return DensityMatrix(shape, np.eye(shape.total) / shape.total, validate=False)
+    total = shape.total
+    # the complex identity and its quotient
+    _check_dense_bytes(32 * total ** 2, f"the maximally mixed {total} x {total} state")
+    return DensityMatrix(shape, np.eye(total, dtype=complex) / total, validate=False)
 
 
 def smolin_state():
@@ -413,6 +415,8 @@ def mix_white_noise(rho, p):
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"mixing weight p={p} outside [0, 1]")
     total = rho.shape.total
+    # at its peak: p * rho and the sum, complex, and the scaled float64 identity
+    _check_dense_bytes(40 * total ** 2, f"white noise on a dense {total} x {total} state")
     mat = p * rho.mat + (1.0 - p) * np.eye(total) / total
     return DensityMatrix(rho.shape, mat, validate=False)
 
@@ -459,9 +463,9 @@ def _family_amplitudes(family, n, d, m):
 
 
 def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
-                 representation="dense", max_dim=None):
-    """Parametric noise families, dense (within the dense cap max_dim) or
-    as closed-form providers.
+                 representation="dense"):
+    """Parametric noise families, dense (within the dense budget) or as
+    closed-form providers.
 
     family:
       ghz-iso    alpha * GHZ_d^n + (1-alpha)/d^n * I
@@ -475,7 +479,7 @@ def family_state(family, *, n=None, d=2, m=1, alpha=None, beta=0.0, p=None,
     if representation == "provider":
         return provider
     if representation == "dense":
-        return provider.to_dense(max_dim=max_dim)
+        return provider.to_dense()
     raise DomainError(f"unknown representation {representation!r}")
 
 

@@ -23,13 +23,9 @@ from .errors import DomainError, ResourceError
 # Hermiticity / trace / positivity validation tolerance for states.
 STATE_TOL = 1e-9
 
-# Largest total dimension for which dense matrices are built by default.
-DEFAULT_MAX_DENSE_DIM = 2 ** 14
-
-# Bytes one dense density matrix may take, with the temporaries of its
-# validation: the Hermiticity difference and the eigvalsh copy, two more
-# complex matrices of its size.  13 qubits (8192^2 x 16 B = 1 GiB)
-# pass unvalidated, not validated; the dense cap's 2^14 passes neither.
+# The one memory budget: bytes a dense step may hold at its peak,
+# temporaries included.  Each step counts them and calls
+# _check_dense_bytes before it allocates.
 _DENSE_BYTES = 1 << 31
 
 _INT64_MAX = 2 ** 63 - 1
@@ -123,33 +119,21 @@ def qudits(n, d):
     return SystemShape((d,) * n)
 
 
-def _check_dense_dim(total, max_dim):
-    cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
-    if total > cap:
-        raise ResourceError(
-            f"dense representation of dimension {total} exceeds the cap {cap}; "
-            "use an element provider instead"
-        )
-
-
-def _check_dense_bytes(total, validate):
-    """ResourceError unless a total x total complex matrix, with its
-    validation temporaries if `validate`, fits in _DENSE_BYTES."""
-    need = (3 if validate else 1) * 16 * total ** 2
+def _check_dense_bytes(need, step):
+    """ResourceError unless `need` bytes, what `step` (a description)
+    holds at its peak, fit in the budget _DENSE_BYTES, read at call time."""
     if need > _DENSE_BYTES:
         raise ResourceError(
-            f"dense {total} x {total} density matrix needs {need} bytes"
-            f"{' with its validation' if validate else ''}, over the budget of "
-            f"{_DENSE_BYTES} bytes; use an element provider instead")
+            f"{step} needs {need} bytes, over the budget of {_DENSE_BYTES} bytes")
 
 
 class StateVector:
     """Normalised pure state on a composite system."""
 
-    def __init__(self, shape, amplitudes, validate=True, max_dim=None):
+    def __init__(self, shape, amplitudes, validate=True):
         if not isinstance(shape, SystemShape):
             shape = SystemShape(shape)
-        _check_dense_dim(shape.total, max_dim)
+        _check_dense_bytes(16 * shape.total, f"a state vector of dimension {shape.total}")
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.shape[0] != shape.total:
             raise DomainError(
@@ -177,11 +161,15 @@ class DensityMatrix:
     transposes and the like are not states).
     """
 
-    def __init__(self, shape, entries, validate=True, max_dim=None):
+    def __init__(self, shape, entries, validate=True):
         if not isinstance(shape, SystemShape):
             shape = SystemShape(shape)
-        _check_dense_dim(shape.total, max_dim)
-        _check_dense_bytes(shape.total, validate)
+        # 16 bytes an entry, and with validation the conjugate and the
+        # difference of the Hermiticity check, two more complex matrices
+        total = shape.total
+        _check_dense_bytes((3 if validate else 1) * 16 * total ** 2,
+                           f"a dense {total} x {total} density matrix"
+                           + (" with its validation" if validate else ""))
         mat = np.asarray(entries, dtype=complex)
         if mat.shape != (shape.total, shape.total):
             raise DomainError(
@@ -201,9 +189,9 @@ class DensityMatrix:
         self.mat.setflags(write=False)
 
     @classmethod
-    def raw(cls, shape, entries, max_dim=None):
+    def raw(cls, shape, entries):
         """Construct without invariant validation (intermediate results)."""
-        return cls(shape, entries, validate=False, max_dim=max_dim)
+        return cls(shape, entries, validate=False)
 
     def element(self, bra, ket):
         """<bra|rho|ket> for multi-indices bra, ket."""
@@ -247,6 +235,8 @@ def vec_to_dm(psi):
     amp = psi.amp
     if np.linalg.norm(amp) < STATE_TOL:
         raise DomainError("cannot form a state from the zero vector")
+    total = psi.shape.total
+    _check_dense_bytes(16 * total ** 2, f"|psi><psi| of dimension {total}")
     return DensityMatrix(psi.shape, np.outer(amp, amp.conj()), validate=False)
 
 
@@ -395,7 +385,7 @@ def save_density_matrix(rho, path):
         fh.write(text)
 
 
-def load_density_matrix(path, validate=True, max_dim=None):
+def load_density_matrix(path, validate=True):
     """Read the JSON density-matrix format and validate state invariants."""
     with open(path) as fh:
         data = json.load(fh)
@@ -404,4 +394,4 @@ def load_density_matrix(path, validate=True, max_dim=None):
             raise DomainError(f"density-matrix file is missing '{key}'")
     shape = SystemShape(data["dims"])
     mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return DensityMatrix(shape, mat, validate=validate, max_dim=max_dim)
+    return DensityMatrix(shape, mat, validate=validate)

@@ -248,7 +248,7 @@ def test_criterion_08_ppt_matches_full_separability_threshold():
 
 
 def test_criterion_08_ppt_coincidence_beyond_the_dense_cap():
-    # D = 4^8 = 65536 > 2^14: PPT on the provider's support, no dense matrix
+    # D = 4^8 = 65536: PPT on the provider's support, no dense matrix
     n, d = 8, 4
     provider = lambda a: family_state("ghz-iso", n=n, d=d, alpha=a,
                                       representation="provider")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisep import DensityMatrix, ResourceError, cli, criteria, manybody
+from multisep import DensityMatrix, ResourceError, cli, criteria, manybody, tensor
 from multisep.states import ElementProvider, family_state
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
@@ -163,16 +163,15 @@ class TestExitCodes:
         assert err.startswith("error:") and "--probe" in err
 
     def test_dense_cap_checked_before_allocating(self, capsys):
-        # 4^8 = 65536 > 2^14: refused before a 64 GiB matrix is allocated
+        # 4^8 = 65536: refused before a 64 GiB matrix is allocated
         code = main(["state", "--family", "ghz-iso", "--n", "8", "--d", "4",
                      "--alpha", "0.5"])
         assert code == 3
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert f"needs {3 * 16 * 4 ** 16} bytes, over the budget" in capsys.readouterr().err
 
     def test_dense_bytes_checked_before_allocating(self, capsys, monkeypatch):
-        # 4^7 = 2^14 is within the dimension cap, but the matrix and its
-        # validation temporaries need 3 * 16 * 2^28 bytes; the matrix
-        # itself (np.zeros) is never allocated
+        # 4^7 = 2^14: the matrix and its validation temporaries need
+        # 3 * 16 * 2^28 bytes; the matrix itself (np.zeros) is never allocated
         zeros = np.zeros
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: pytest.fail(
             f"allocated {shape}") if np.prod(shape) > 1 << 20 else zeros(shape, *a, **k))
@@ -181,29 +180,62 @@ class TestExitCodes:
         assert code == 3
         assert f"needs {3 * 16 * 4 ** 14} bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        # 6435 off-block times 2 block patterns: 48 |S|^2 bytes, 7.9 GB,
+        # for the transpose and its spectrum
+        (["crit", "--crit", "ppt", "--family", "dicke-iso", "--n", "15", "--m", "7",
+          "--p", "0.5"], ["|S| = 12870 indices", f"needs {48 * 12870 ** 2} bytes"]),
+        # 4 GiB, refused before np.outer runs
+        (["state", "--kind", "ghz", "--n", "14"],
+         [f"|psi><psi| of dimension {2 ** 14} needs {16 * 4 ** 14} bytes"]),
+        # 16 TiB of amplitudes, refused before np.zeros runs
+        (["state", "--kind", "ghz", "--n", "40"],
+         [f"state vector of dimension {2 ** 40} needs {16 * 2 ** 40} bytes"]),
+    ])
+    def test_dense_steps_checked_before_allocating(self, capsys, monkeypatch, argv, named):
+        def bounded(make, entries):
+            def checked(*args, **kwargs):
+                if entries(*args) > 1 << 20:
+                    pytest.fail(f"{make.__name__} allocated {entries(*args)} entries")
+                return make(*args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(np, "zeros", bounded(np.zeros, lambda shape, *_: np.prod(shape)))
+        monkeypatch.setattr(np, "outer", bounded(np.outer, lambda a, b, *_: np.size(a) * np.size(b)))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap:") and "Traceback" not in err
+        assert all(part in err for part in named)
+
     @pytest.mark.parametrize("command", [
         ["crit", "--crit", "ppt", "--p", "0.5"],
         ["scan", "--crit", "ppt", "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
         ["threshold", "--crit", "ppt", "--lo", "0.1", "--hi", "0.9"],
         ["state", "--alpha", "0.5"],
     ])
-    def test_max_dim_caps_family_states(self, capsys, command):
+    def test_max_dim_caps_family_states(self, capsys, monkeypatch, command):
+        # the one byte budget caps family states; a budget one byte short
+        # of what the step counts refuses it
         if command[0] == "state":
-            # ghz-iso at n = d = 4 has dimension 256
+            # ghz-iso at n = d = 4: a validated 256 x 256 matrix, 3 * 16 * 256^2 bytes
             argv = command + ["--family", "ghz-iso", "--n", "4", "--d", "4"]
-            named = "dimension 256 exceeds the cap 100"
+            need = 3 * 16 * 256 ** 2
+            named = f"256 x 256 density matrix with its validation needs {need} bytes"
         else:
             # PPT runs on the support: for dicke-iso n=8, m=4 and block 0 it
-            # has 70 off-block times 2 block digit patterns
+            # has 70 off-block times 2 block digit patterns, 48 |S|^2 bytes
             argv = command + ["--family", "dicke-iso", "--n", "8", "--m", "4"]
+            need = 48 * 140 ** 2
             named = "|S| = 140 indices"
-        assert main(argv + ["--max-dim", "100"]) == 3
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+        assert main(argv) == 3
         assert named in capsys.readouterr().err
         if command[0] == "crit":
-            assert main(argv + ["--max-dim", "140"]) == 0
+            monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+            assert main(argv) == 0
 
     def test_ppt_beyond_the_dense_cap(self, capsys):
-        # D = 4^8 = 65536 > 2^14, but the support has 4 indices
+        # D = 4^8 = 65536, a 64 GiB dense matrix, but the support has 4 indices
         code, out = run_cli(capsys, "crit", "--crit", "ppt", "--family", "ghz-iso",
                             "--n", "8", "--d", "4", "--alpha", "0.5", "--block", "0,3")
         assert code == 0
@@ -221,7 +253,7 @@ class TestExitCodes:
         assert err.startswith("resource cap:") and "|S| = 369512 indices" in err
 
     def test_ppt_within_the_support_cap(self, capsys):
-        # s^2 = 252^2 = 63504 is over the dense cap, |S| = 504 is not
+        # |S| = 504 indices: 48 |S|^2 bytes, 12 MB
         argv = ["crit", "--crit", "ppt", "--family", "dicke-iso", "--n", "10", "--m", "5",
                 "--p", "0.5"]
         code, out = run_cli(capsys, *argv)
@@ -410,6 +442,7 @@ class TestUsageErrors:
         ["manybody", "--d", "7"],
         ["unstable", "--n", "9", "--seed", "4"],
         ["qss", "simulate", "--n", "7", "--max-dim", "1"],
+        ["state", "--max-dim", "8"],
     ])
     def test_flags_the_command_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -502,13 +535,13 @@ class TestManybodyCli:
         assert row[5] == "10"
 
     def test_sector_budget_exits_3(self, capsys):
-        """Parity sectors of ring(15) need 4 GiB: refused before anything
-        is built."""
+        """Parity sectors of ring(15) need 12.9 GB with their eigensolves:
+        refused before anything is built."""
         assert main(["manybody", "--n", "15", "--gamma", "0.3", "--ks", "15"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("resource cap: the largest conserved sector")
-        assert "4294967296 bytes" in captured.err
+        assert "12928155648 bytes" in captured.err
 
     def test_cgme_ground_ignores_the_blas_thread_count(self):
         """The isotropic ring(9) has a 4-fold ground level; cgme_ground
@@ -618,7 +651,7 @@ class TestStartup:
         crit = ["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
                 "--alpha", "0.5"]
         sequence = [
-            crit + ["--tol", "0.1", "--max-dim", "8"],
+            crit + ["--tol", "0.1"],
             ["crit", "--crit", "nope"],
             ["crit", "--help"],
             crit,

@@ -57,7 +57,7 @@ family_args = joined(
     flag("--family", st.sampled_from(FAMILIES)),
     flag("--n", small_int), flag("--d", st.integers(min_value=1, max_value=3)),
     flag("--m", small_int), flag("--alpha", weight), flag("--beta", weight),
-    flag("--p", weight), flag("--max-dim", st.sampled_from([1, 8, 100])),
+    flag("--p", weight),
 )
 crit_args = joined(
     st.sampled_from(CRITERIA).map(lambda c: ["--crit", c]),

@@ -33,6 +33,7 @@ from multisep import (
 )
 from multisep.sampling import random_density_matrix, random_product_pure
 from multisep.states import FlippedProvider, MixtureProvider, bell_state, dicke_amplitudes
+from multisep import tensor
 from multisep.tensor import StateVector
 
 
@@ -172,22 +173,25 @@ class TestPptOnSupport:
                 assert ppt_check(prov, block).value == pytest.approx(
                     alpha / d - (1 - alpha) / d ** n, rel=0, abs=1e-12)
 
-    def test_cap_bounds_the_support_size(self):
+    def test_cap_bounds_the_support_size(self, monkeypatch):
         # C(16, 8) = 12870 support indices; their 12870 off-block patterns
         # of sites 1..15 times the 2 labels of site 0 give |S| = 25740
         prov = family_state("dicke-iso", n=16, m=8, p=0.5, representation="provider")
         with pytest.raises(ResourceError, match="25740 indices"):
             ppt_check(prov, [0])
-        # 20 off-block times 2 block patterns
+        # 20 off-block times 2 block patterns; the step counts 48 |S|^2 bytes
         prov = family_state("dicke-iso", n=6, m=3, p=0.5, representation="provider")
-        with pytest.raises(ResourceError, match="\\|S\\| = 40 indices .* cap 39"):
-            ppt_check(prov, [0], max_dim=39)
-        assert ppt_check(prov, [0], max_dim=40).value == pytest.approx(
-            ppt_check(prov.to_dense(), [0]).value, rel=0, abs=1e-14)
+        want = ppt_check(prov.to_dense(), [0]).value
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 48 * 40 ** 2 - 1)
+        with pytest.raises(ResourceError,
+                           match="\\|S\\| = 40 indices .* needs 76800 bytes, over the budget"):
+            ppt_check(prov, [0])
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 48 * 40 ** 2)
+        assert ppt_check(prov, [0]).value == pytest.approx(want, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("block, size", [([0], 504), ([0, 1, 2], 896), ([0, 3, 5, 7], 992)])
     def test_support_is_the_product_of_digit_patterns(self, block, size):
-        # dicke-iso n=10, m=5: s^2 = 252^2 = 63504 passes the dense cap, |S| does not
+        # dicke-iso n=10, m=5: s = 252 support indices, and |S| = size
         prov = family_state("dicke-iso", n=10, m=5, p=0.5, representation="provider")
         on = {tuple(mi[i] for i in block) for mi in dicke_amplitudes(10, 5)}
         off = {tuple(x for i, x in enumerate(mi) if i not in block)

@@ -352,8 +352,11 @@ class TestSpinHamiltonian:
         assert np.array_equal(heisenberg_hamiltonian(lattice, params, indices), want)
 
     def test_sector_budget_in_bytes(self, monkeypatch):
-        # parity sectors of ring(15): 16384 states, 4 GiB of block and eigenvectors
-        with pytest.raises(ResourceError, match="16384 states.* 4294967296 bytes"):
+        # parity sectors of ring(15): 2 x 16384 states; 8 (2 m^2) bytes of
+        # eigenvectors, 32 m^2 for the eigensolve of one sector and
+        # 8 (n + 10 n) bytes a basis state
+        need = 48 * 16384 ** 2 + 8 * 2 ** 15 * (15 + 150)
+        with pytest.raises(ResourceError, match=f"16384 states.* {need} bytes"):
             SpinHamiltonian(Lattice.ring(15), HeisenbergParams.from_gamma(0.3)).spectrum()
         with pytest.raises(ResourceError, match="12870 states"):
             SpinHamiltonian(Lattice.ring(16), HeisenbergParams.from_gamma(0.0)).spectrum()
@@ -364,12 +367,28 @@ class TestSpinHamiltonian:
         def stop(*args):
             raise Built
 
-        # popcount sectors of ring(15) (6435 states, 0.66 GB) and parity
-        # sectors of ring(14) (8192 states, 1 GiB) pass the check
+        # popcount sectors of ring(14) (3432 states at most, 0.72 GB) and
+        # parity sectors of ring(13) (4096 states, 0.81 GB) pass the check
         monkeypatch.setattr(manybody, "heisenberg_hamiltonian", stop)
-        for n, gamma in ((15, 0.0), (14, 0.3)):
+        for n, gamma in ((14, 0.0), (13, 0.3)):
             with pytest.raises(Built):
                 SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(gamma)).spectrum()
+
+    @pytest.mark.parametrize("n, gamma, largest", [(14, 0.3, 8192), (15, 0.0, 6435)])
+    def test_sector_budget_counts_the_eigensolve(self, monkeypatch, n, gamma, largest):
+        # ring(14) at gamma != 0 keeps 1 GiB of eigenvectors, but its
+        # eigensolve takes 2 GiB more; ring(15) at gamma = 0 keeps 1.24 GB
+        # of eigenvectors and solves 6435 states in 1.33 GB.  Both are
+        # refused before any sector is built.
+        class Built(Exception):
+            pass
+
+        def stop(*args):
+            raise Built
+
+        monkeypatch.setattr(manybody, "heisenberg_hamiltonian", stop)
+        with pytest.raises(ResourceError, match=f"\\({largest} states\\).*over the budget"):
+            SpinHamiltonian(Lattice.ring(n), HeisenbergParams.from_gamma(gamma)).spectrum()
 
     def test_bad_block(self):
         ham = SpinHamiltonian(Lattice.chain(3), HeisenbergParams())

@@ -191,9 +191,10 @@ class TestProviders:
         assert prov.element(bra, ket) == pytest.approx(0.5 / 20)
 
     def test_to_dense_cap_checked_before_allocating(self):
-        # 4^8 = 65536 exceeds the default dense cap; nothing is allocated
+        # 4^8 = 65536: 3 * 16 * 4^16 bytes, 192 GiB, are refused before
+        # anything is allocated
         prov = family_state("ghz-iso", n=8, d=4, alpha=0.5, representation="provider")
-        with pytest.raises(ResourceError, match="exceeds the cap"):
+        with pytest.raises(ResourceError, match=f"needs {3 * 16 * 4 ** 16} bytes, over the budget"):
             prov.to_dense()
 
     def test_mixture_weights_validated(self):
@@ -211,15 +212,15 @@ class TestProviders:
             MixtureProvider(qubits(2), terms, noise_weight=noise)
 
     def test_to_dense_checks_bytes_before_allocating(self, monkeypatch):
-        # 3^9 = 19683 passes a raised dimension cap; 16 * 19683^2 bytes do
-        # not pass the byte budget, validated or not
+        # 3^9 = 19683: 16 * 19683^2 bytes do not pass the byte budget,
+        # validated or not
         prov = family_state("ghz-iso", n=9, d=3, alpha=0.5, representation="provider")
         zeros = np.zeros
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: pytest.fail(
             f"allocated {shape}") if np.prod(shape) > 1 << 20 else zeros(shape, *a, **k))
         for validate in (True, False):
             with pytest.raises(ResourceError, match=r"needs \d+ bytes.*over the budget"):
-                prov.to_dense(max_dim=3 ** 9, validate=validate)
+                prov.to_dense(validate=validate)
 
 
 def _reference_tables(shape, terms):

@@ -24,6 +24,17 @@ from multisep import (
     save_density_matrix,
     vec_to_dm,
 )
+from multisep import (
+    HeisenbergParams,
+    Lattice,
+    SpinHamiltonian,
+    family_state,
+    heisenberg_hamiltonian,
+    mix_white_noise,
+    ppt_check,
+    tensor,
+    thermal_state,
+)
 from multisep.states import (
     bell_state,
     dicke_state,
@@ -265,9 +276,39 @@ class TestValidation:
         raw = DensityMatrix.raw(SystemShape((2,)), np.diag([1.5, -0.5]).astype(complex))
         assert raw.element((0,), (0,)) == 1.5
 
-    def test_dense_cap(self):
-        with pytest.raises(ResourceError):
-            DensityMatrix(qubits(4), np.eye(16) / 16, max_dim=8)
+    def test_dense_cap(self, monkeypatch):
+        # validated, a 16 x 16 matrix counts itself and the two temporaries
+        # of its Hermiticity check: 3 * 16 * 16^2 bytes; raw, 16 * 16^2
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 3 * 16 * 16 ** 2 - 1)
+        with pytest.raises(ResourceError, match="needs 12288 bytes, over the budget of 12287"):
+            DensityMatrix(qubits(4), np.eye(16) / 16)
+        assert DensityMatrix.raw(qubits(4), np.eye(16) / 16).element((0,) * 4, (0,) * 4) == 1 / 16
+
+    def test_one_budget_moves_every_dense_step(self, monkeypatch):
+        # every dense step checks through tensor._DENSE_BYTES, read at
+        # call time, so at a budget of 0 each one refuses
+        psi = ghz_state(3)
+        rho = vec_to_dm(psi)
+        prov = family_state("ghz-iso", n=3, alpha=0.5, representation="provider")
+        params = HeisenbergParams.from_gamma(0.3)
+        steps = [
+            lambda: StateVector(qubits(2), [1, 0, 0, 0]),
+            lambda: ghz_state(3),
+            lambda: DensityMatrix.raw(qubits(1), np.eye(2) / 2),
+            lambda: vec_to_dm(psi),
+            lambda: prov.to_dense(validate=False),
+            lambda: ppt_check(prov, [0]),
+            lambda: ppt_check(rho, [0]),
+            lambda: mix_white_noise(rho, 0.5),
+            lambda: maximally_mixed(qubits(2)),
+            lambda: heisenberg_hamiltonian(Lattice.ring(3), params),
+            lambda: SpinHamiltonian(Lattice.ring(3), params).spectrum(),
+            lambda: thermal_state(SpinHamiltonian(Lattice.ring(3), params), 1.0),
+        ]
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 0)
+        for step in steps:
+            with pytest.raises(ResourceError, match="over the budget of 0 bytes"):
+                step()
 
     def test_unnormalised_vector_rejected(self):
         with pytest.raises(DomainError):
