@@ -95,6 +95,9 @@ _BASIS_VECTORS = {
     "y-": np.array([1, -1j], dtype=complex) / sqrt(2),
 }
 
+# rounds per array pass of QssSimulator.run; even, see its docstring
+_ROUND_CHUNK = 1 << 16
+
 _VERIFY_ELEMENTS = (
     ((0, 0, 0), (1, 1, 1)),
     ((0, 0, 1), (0, 0, 1)),
@@ -173,6 +176,14 @@ class QssSimulator:
     `rng.integers(0, 8)` for the bases and one `rng.random()` looked up in
     that CDF with the rule of `searchsorted(side="right")`, which is what
     `rng.choice(8, p=probs)` draws, so every seed gives the same rounds.
+
+    `run` draws the same numbers in array passes over the generator's raw
+    64-bit PCG64 words.  `integers(0, 8)` takes one 32-bit half of a word,
+    the low half first and the high half at the next call, and gives
+    `half >> 29`; `random()` takes a whole word and gives
+    `(word >> 11) * 2**-53`.  So two rounds use three words: the shared
+    bases word, then one word each for the outcomes.  Chunks hold an even
+    number of rounds, so no half-word crosses a chunk.
     """
 
     def __init__(self, eavesdrop=False):
@@ -180,8 +191,8 @@ class QssSimulator:
         self.resource = _product_dm() if eavesdrop else _ghz3_dm()
         table = qss_table()
         self._bases = [tuple(b) for b in product("xy", repeat=3)]
-        self._combos, self._cdfs, self._alice = [], [], []
-        self._sifted, self._matches = [], []
+        self._combos, self._alice = [], []
+        cdfs, sifted_rows, match_rows = [], [], []
         for bases in self._bases:
             combos = [tuple(b + s for b, s in zip(bases, signs))
                       for signs in product("+-", repeat=3)]
@@ -196,10 +207,14 @@ class QssSimulator:
             alice = [table[(c[1], c[2])] for c in combos]
             sifted = [bases[0] == a[0] for a in alice]
             self._combos.append(combos)
-            self._cdfs.append(cdf.tolist())
             self._alice.append(alice)
-            self._sifted.append(sifted)
-            self._matches.append([f and c[0] == a for f, c, a in zip(sifted, combos, alice)])
+            cdfs.append(cdf)
+            sifted_rows.append(sifted)
+            match_rows.append([f and c[0] == a for f, c, a in zip(sifted, combos, alice)])
+        # (basis triple, outcome) tables
+        self._cdfs = np.array(cdfs)
+        self._sifted = np.array(sifted_rows)
+        self._matches = np.array(match_rows)
 
     def _draw(self, rng):
         """Indices (basis triple, outcome) of one round."""
@@ -209,18 +224,22 @@ class QssSimulator:
     def round(self, rng):
         b, o = self._draw(rng)
         return QssRound(bases=self._bases[b], outcomes=self._combos[b][o],
-                        sifted=self._sifted[b][o], alice_state=self._alice[b][o])
+                        sifted=bool(self._sifted[b, o]), alice_state=self._alice[b][o])
 
     def run(self, rounds, seed=0):
         if rounds < 0:
             raise DomainError(f"the number of rounds must be non-negative, got {rounds}")
-        rng = np.random.default_rng(seed)
+        bits = np.random.default_rng(seed).bit_generator
         sifted = 0
         matches = 0
-        for _ in range(rounds):
-            b, o = self._draw(rng)
-            sifted += self._sifted[b][o]
-            matches += self._matches[b][o]
+        for start in range(0, rounds, _ROUND_CHUNK):
+            count = min(_ROUND_CHUNK, rounds - start)
+            words = bits.random_raw(3 * ((count + 1) // 2)).reshape(-1, 3)
+            b = np.stack([(words[:, 0] >> 29) & 7, words[:, 0] >> 61], axis=1).reshape(-1)[:count]
+            u = (words[:, 1:] >> 11).reshape(-1)[:count] * 2.0 ** -53
+            o = np.count_nonzero(self._cdfs[b] <= u[:, None], axis=1)
+            sifted += int(np.count_nonzero(self._sifted[b, o]))
+            matches += int(np.count_nonzero(self._matches[b, o]))
         return {
             "rounds": rounds,
             "sifted": sifted,

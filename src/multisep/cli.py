@@ -26,6 +26,7 @@ from .errors import DomainError, ResourceError
 from .states import StateSpec, family_state, family_weights, make_state, mix_white_noise
 from .tensor import (
     StateVector,
+    _check_dense_bytes,
     load_density_matrix,
     save_density_matrix,
     vec_to_dm,
@@ -208,6 +209,11 @@ def cmd_measure(args):
     if args.measure == "cgme-bound":
         res = measures.cgme_lower_bound(rho, _parse_probe(args.probe))
     else:
+        total = rho.shape.total
+        # the matrix, eigh's copy of it, LAPACK's complex and real
+        # workspaces and the eigenvectors
+        _check_dense_bytes(80 * total ** 2,
+                           f"the eigendecomposition of the {total} x {total} density matrix")
         evals, evecs = np.linalg.eigh(rho.mat)
         if evals[-1] < 1.0 - 1e-9:
             raise DomainError(
@@ -383,7 +389,7 @@ def cmd_unstable(args):
             setting(args.beta1, args.psi1, t),
             setting(args.beta2, args.psi2, t),
         )
-        bounds = unstable.chsh_bound(settings, grid=(args.grid_theta, args.grid_phi))
+        bounds = unstable.chsh_bound(settings)
         nonconverged = nonconverged or not bounds.converged
         singlet = unstable.singlet_value(settings)
         lines.append(",".join(_fmt(v) for v in
@@ -557,8 +563,6 @@ def build_parser():
     p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
     p.add_argument("--t-stop", type=float, default=0.0, dest="t_stop")
     p.add_argument("--t-step", type=float, default=1.0, dest="t_step")
-    p.add_argument("--grid-theta", type=int, default=64, dest="grid_theta")
-    p.add_argument("--grid-phi", type=int, default=128, dest="grid_phi")
     p.set_defaults(func=cmd_unstable)
 
     return parser

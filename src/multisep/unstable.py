@@ -9,6 +9,11 @@ classical (local-realistic) bounds of a CHSH combination of four such
 operators follow by optimising its expectation over pure product
 states, which inherits time dependence from the operators; there is no
 Schroedinger-picture formulation of measurements at unequal times.
+
+Bob's optimum is closed form, and what is left depends on Alice's Bloch
+vector a only through (na1 . a, na2 . a), convexly, so its extrema over
+the sphere lie on the great circle through na1 and na2: `chsh_bound`
+searches one angle.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from .tensor import kron_all
 # is the transposed sigma_y, so transposing it back gives the textbook one.
 _SIGMA = (PAULI[1], PAULI[2].T, PAULI[3])
 
-# grid cells evaluated per array pass, which bounds the pass's memory
-_GRID_CHUNK = 1 << 16
-# array values this close (relative, at least 1 as the scale) to the grid
-# maximum are re-checked with the scalar expression, which picks the cell
-_TIE_RTOL = 1e-12
+# equispaced angles on the circle whose local maxima are polished
+_CIRCLE_POINTS = 64
+# the polish stops when a step is at most _NEWTON_STEP radians, and is
+# non-converged if some candidate has not after _NEWTON_ITER iterations
+_NEWTON_STEP = 1e-10
+_NEWTON_ITER = 50
 
 _SINGLET = np.array([0, 1, -1, 0], dtype=complex) / sqrt(2)
 
@@ -115,10 +121,6 @@ def _check_settings(settings):
     return settings
 
 
-def _unit(theta, phi):
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
-
-
 @dataclass(frozen=True)
 class ChshBounds:
     b_minus: float
@@ -126,93 +128,79 @@ class ChshBounds:
     converged: bool
 
 
-def chsh_bound(settings, grid=(64, 128), refine=True):
+def chsh_bound(settings):
     """Extrema of <a| ⊗ <b| B |a> ⊗ |b> over pure product states.
 
-    With O = c I + n · sigma, the expectation on a product state is
-    affine in each party's Bloch vector, so party B's optimum is closed
-    form (base ± |coefficient vector|); party A's sphere is gridded
-    (theta x phi resolution per `grid`, each at least 1) and the best
-    cell is polished by Nelder-Mead.  Local-realistic correlations
-    cannot leave [b_minus, b_plus].
+    With O = c I + n · sigma the expectation on a product state is affine
+    in each party's Bloch vector, so party B's optimum is closed form:
+    base ± |coefficient vector|.  Both are affine in Alice's Bloch vector
+    a through x = (na1 · a, na2 · a) only, so either extremum, taken with
+    its sign, is an affine term plus the norm of an affine map, a convex
+    function of x.  Its maximum over the sphere lies where x is extreme,
+    on the unit circle of span(na1, na2).  When the two vectors are
+    parallel the circle passes through ±na1/|na1|, and when both vanish
+    the value is constant, so any circle through the span serves.
 
-    The grid is evaluated in array passes.  Cells whose array value lies
-    within 1e-12 * max(1, |grid maximum|) of the grid maximum are
-    evaluated again with the scalar expression the polish uses, in grid
-    order, and the first strictly largest wins, so ties and last-digit
-    differences between the array and scalar arithmetic cannot change
-    the chosen cell.
+    On that circle h(psi) is evaluated at `_CIRCLE_POINTS` equispaced
+    angles in one array pass.  Every grid-local maximum is then polished
+    at once by Newton's method on the analytic h', safeguarded by
+    bisection of the bracket between its grid neighbours, and the best
+    value evaluated is returned.  `converged` says that every polish
+    reached a step of at most `_NEWTON_STEP` radians within
+    `_NEWTON_ITER` iterations.  Local-realistic correlations cannot
+    leave [b_minus, b_plus].
     """
     a1, a2, b1, b2 = _check_settings(settings)
-    n_theta, n_phi = grid
-    if n_theta < 1 or n_phi < 1:
-        raise DomainError(f"grid sizes must be at least 1, got {n_theta} x {n_phi}")
     na1, na2 = bloch_vector(a1), bloch_vector(a2)
     nb1, nb2 = bloch_vector(b1), bloch_vector(b2)
     ca1, ca2 = 1.0 - np.linalg.norm(na1), 1.0 - np.linalg.norm(na2)
     cb_sum = (1.0 - np.linalg.norm(nb1)) + (1.0 - np.linalg.norm(nb2))
     cb_diff = (1.0 - np.linalg.norm(nb1)) - (1.0 - np.linalg.norm(nb2))
     nb_sum, nb_diff = nb1 + nb2, nb1 - nb2
+    # orthonormal columns e1, e2 whose span holds na1 and na2; on the
+    # circle a = cos(psi) e1 + sin(psi) e2, na_i . a = p_i cos + q_i sin
+    span = np.column_stack([na1, na2])
+    (p1, q1), (p2, q2) = span.T @ np.linalg.qr(span)[0]
 
-    def extremum(avec, sign):
-        g1 = ca1 + na1 @ avec
-        g2 = ca2 + na2 @ avec
+    def circle(psi, sign):
+        """h = sign * base + |coeff| at angles psi, and its first two derivatives."""
+        c, s = np.cos(psi), np.sin(psi)
+        # g_i = ca_i + na_i . a and its derivatives, one row each
+        g1 = np.stack([ca1 + (p1 * c + q1 * s), q1 * c - p1 * s, -(p1 * c + q1 * s)])
+        g2 = np.stack([ca2 + (p2 * c + q2 * s), q2 * c - p2 * s, -(p2 * c + q2 * s)])
         base = g1 * cb_sum + g2 * cb_diff
-        coeff = g1 * nb_sum + g2 * nb_diff
-        return base + sign * np.linalg.norm(coeff)
+        coeff = g1[..., None] * nb_sum + g2[..., None] * nb_diff
+        norm = np.sqrt(np.einsum("ij,ij->i", coeff[0], coeff[0]))
+        # (|coeff|^2)' / 2 and (|coeff|^2)'' / 2
+        half_d1 = np.einsum("ij,ij->i", coeff[0], coeff[1])
+        half_d2 = np.einsum("ij,ij->i", coeff[1], coeff[1]) + np.einsum(
+            "ij,ij->i", coeff[0], coeff[2])
+        return (sign * base[0] + norm,
+                sign * base[1] + half_d1 / norm,
+                sign * base[2] + half_d2 / norm - half_d1 ** 2 / norm ** 3)
 
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    # the factors of _unit, from the same scalar sin and cos, so the
-    # array's unit vectors equal _unit's bit for bit
-    sin_t, cos_t = (np.array([f(x) for x in thetas]) for f in (sin, cos))
-    sin_p, cos_p = (np.array([f(x) for x in phis]) for f in (sin, cos))
-    rows = max(1, _GRID_CHUNK // n_phi)
-
-    def grid_candidates(sign):
-        """Flat grid indices, in grid order, of every cell near the grid
-        maximum of sign * extremum, plus any near an earlier chunk's
-        running maximum; none when every value is NaN."""
-        top, cand = -np.inf, []
-        for start in range(0, n_theta, rows):
-            st, ct = sin_t[start:start + rows, None], cos_t[start:start + rows, None]
-            units = np.stack(np.broadcast_arrays(st * cos_p, st * sin_p, ct),
-                             axis=-1).reshape(-1, 3)
-            g1 = ca1 + units @ na1
-            g2 = ca2 + units @ na2
-            base = g1 * cb_sum + g2 * cb_diff
-            coeff = g1[:, None] * nb_sum + g2[:, None] * nb_diff
-            vals = sign * (base + sign * np.sqrt(np.einsum("ij,ij->i", coeff, coeff)))
-            top = max(top, np.max(vals, initial=-np.inf, where=~np.isnan(vals)))
-            cut = top - _TIE_RTOL * max(1.0, abs(top)) if np.isfinite(top) else top
-            # cells kept from earlier chunks under a lower cut cannot win
-            # the scalar re-check, so they need no second filter
-            cand.append(np.flatnonzero(vals >= cut) + start * n_phi)
-        return np.concatenate(cand)
-
-    results = {}
-    converged = True
-    for sign, label in ((1.0, "max"), (-1.0, "min")):
-        best_val = -np.inf
-        best_angles = (0.0, 0.0)
-        for idx in grid_candidates(sign):
-            th, ph = thetas[idx // n_phi], phis[idx % n_phi]
-            val = sign * extremum(_unit(th, ph), sign)
-            if val > best_val:
-                best_val = val
-                best_angles = (th, ph)
-        if refine:
-            # SciPy is loaded here, on first use, so that importing the
-            # package and its CLI costs only NumPy
-            from scipy.optimize import minimize
-
-            res = minimize(
-                lambda x: -sign * extremum(_unit(x[0], x[1]), sign),
-                x0=np.array(best_angles),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-            )
-            converged = converged and bool(res.success)
-            best_val = max(best_val, float(-res.fun))
-        results[label] = sign * best_val
-    return ChshBounds(b_minus=results["min"], b_plus=results["max"], converged=converged)
+    width = 2.0 * np.pi / _CIRCLE_POINTS
+    grid = np.arange(_CIRCLE_POINTS) * width
+    signs = np.array([1.0, -1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = circle(np.tile(grid, 2), np.repeat(signs, _CIRCLE_POINTS))[0]
+        vals = vals.reshape(2, _CIRCLE_POINTS)
+        best = vals.max(axis=1)
+        row, col = np.nonzero((vals >= np.roll(vals, 1, axis=1))
+                              & (vals >= np.roll(vals, -1, axis=1)))
+        psi = grid[col]
+        lo, hi = psi - width, psi + width
+        for _ in range(_NEWTON_ITER):
+            if not row.size:
+                break
+            h, slope, curve = circle(psi, signs[row])
+            np.maximum.at(best, row, h)
+            lo = np.where(slope > 0, psi, lo)
+            hi = np.where(slope < 0, psi, hi)
+            newton = psi - slope / curve
+            step = np.where((curve < 0) & (newton >= lo) & (newton <= hi),
+                            newton, 0.5 * (lo + hi)) - psi
+            live = (np.abs(step) > _NEWTON_STEP) & (slope != 0)
+            row, psi, lo, hi = row[live], (psi + step)[live], lo[live], hi[live]
+    return ChshBounds(b_minus=-float(best[1]), b_plus=float(best[0]),
+                      converged=not row.size)

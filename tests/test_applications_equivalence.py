@@ -1,10 +1,13 @@
-"""The array CHSH grid and the table-driven QSS rounds against the loops
-they replaced.
+"""The CHSH great-circle search and the array-pass QSS rounds against the
+loops they replaced.
 
 The oracle_* code below is the scalar implementation kept verbatim in
-logic: one `extremum` call per grid cell, and one `rng.choice(8, p=...)`
-per protocol round.  The new code must give exactly equal results
-(`==`, no tolerance) on every input here, since the CLI promises
+logic: one `extremum` call per cell of a theta x phi grid of Alice's
+sphere with a Nelder-Mead polish, and one `rng.choice(8, p=...)` per
+protocol round.  `chsh_bound` now searches the one great circle that
+holds the optimum, so it must reach at least the oracle's B+ and at most
+its B- (to 1e-12), and no product state may lie outside its bounds.
+QSS counts must be exactly equal (`==`), since the CLI promises
 byte-identical output for identical flags and seeds.  The oracles are
 kept for one release as a safety net and then deleted.
 """
@@ -17,7 +20,7 @@ import pytest
 from scipy.optimize import minimize
 
 from multisep import DomainError, EffectiveOpParams, QssSimulator, chsh_bound, qss_round
-from multisep import unstable
+from multisep import applications
 from multisep.applications import _BASIS_VECTORS, QssRound, qss_table
 from multisep.tensor import kron_all
 from multisep.unstable import ChshBounds, _check_settings, bloch_vector
@@ -182,12 +185,19 @@ def test_enough_settings():
     assert len(SETTINGS) >= 40
 
 
+def _assert_reaches(bounds, oracle):
+    assert bounds.converged
+    assert bounds.b_plus >= oracle.b_plus - 1e-12
+    assert bounds.b_minus <= oracle.b_minus + 1e-12
+
+
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("grid", SMALL_GRIDS)
 def test_chsh_bound_matches_scalar_grid(grid, refine):
+    # the circle search matches or beats the sphere grid with its polish
     for settings in SETTINGS:
-        assert chsh_bound(settings, grid=grid, refine=refine) == \
-            oracle_chsh_bound(settings, grid=grid, refine=refine)
+        _assert_reaches(chsh_bound(settings), oracle_chsh_bound(settings, grid=grid,
+                                                                refine=refine))
 
 
 @pytest.mark.parametrize("refine", [False, True])
@@ -195,23 +205,45 @@ def test_chsh_bound_matches_scalar_grid_default(refine):
     # the first ten cover every special case; the scalar oracle needs
     # about 0.2 s per call on this grid
     for settings in SETTINGS[:10]:
-        assert chsh_bound(settings, refine=refine) == oracle_chsh_bound(settings, refine=refine)
+        _assert_reaches(chsh_bound(settings), oracle_chsh_bound(settings, refine=refine))
 
 
-@pytest.mark.parametrize("chunk", [1, 100])
-def test_chsh_bound_chunked_grid(monkeypatch, chunk):
-    # chunks of one theta row, and of three rows with a shorter last one
-    monkeypatch.setattr(unstable, "_GRID_CHUNK", chunk)
-    for settings in SETTINGS[:12]:
-        for refine in (False, True):
-            assert chsh_bound(settings, grid=(16, 32), refine=refine) == \
-                oracle_chsh_bound(settings, grid=(16, 32), refine=refine)
+def _product_values(settings, alice):
+    """Both extrema over Bob of the CHSH value at Alice's Bloch vectors
+    (rows of `alice`), as (max, min) arrays."""
+    (na1, ca1), (na2, ca2), (nb1, cb1), (nb2, cb2) = (
+        (n, 1.0 - np.linalg.norm(n)) for n in map(bloch_vector, settings))
+    g1, g2 = ca1 + alice @ na1, ca2 + alice @ na2
+    base = g1 * (cb1 + cb2) + g2 * (cb1 - cb2)
+    spread = np.linalg.norm(g1[:, None] * (nb1 + nb2) + g2[:, None] * (nb1 - nb2), axis=1)
+    return base + spread, base - spread
 
 
-@pytest.mark.parametrize("grid", [(0, 128), (64, 0), (-3, 5), (5, -3)])
-def test_chsh_bound_rejects_empty_grid(grid):
-    with pytest.raises(DomainError, match="grid sizes"):
-        chsh_bound(SETTINGS[0], grid=grid)
+def test_no_product_state_beyond_the_bounds():
+    rng = np.random.default_rng(2024)
+    for settings in SETTINGS:
+        alice = rng.normal(size=(100_000, 3))
+        alice /= np.linalg.norm(alice, axis=1, keepdims=True)
+        upper, lower = _product_values(settings, alice)
+        bounds = chsh_bound(settings)
+        assert upper.max() <= bounds.b_plus + 1e-12
+        assert lower.min() >= bounds.b_minus - 1e-12
+
+
+def test_fine_circle_sweep_agrees():
+    # 10^5 angles on the great circle through na1 and na2 (any circle
+    # through the span where they are parallel or zero).  No angle beats
+    # the bounds by more than 1e-12; the best angle falls short of them by
+    # at most the sweep's resolution, |h''| (pi / 10^5)^2 / 2 < 1e-8.
+    psi = np.linspace(0.0, 2.0 * pi, 100_000, endpoint=False)
+    for settings in SETTINGS:
+        na1, na2 = bloch_vector(settings[0]), bloch_vector(settings[1])
+        e1, e2 = np.linalg.qr(np.column_stack([na1, na2]))[0].T
+        upper, lower = _product_values(settings, np.outer(np.cos(psi), e1)
+                                       + np.outer(np.sin(psi), e2))
+        bounds = chsh_bound(settings)
+        assert 0.0 <= bounds.b_plus - upper.max() + 1e-12 <= 1e-8
+        assert 0.0 <= lower.min() - bounds.b_minus + 1e-12 <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +270,16 @@ def test_qss_rounds_match_choice_loop(eavesdrop):
         assert sim.round(new_rng) == oracle.round(old_rng)
     # both leave the generator in the same state
     assert new_rng.random() == old_rng.random()
+
+
+@pytest.mark.parametrize("eavesdrop", [False, True])
+@pytest.mark.parametrize("seed", [0, 3, 99, 2 ** 40 + 1])
+def test_qss_run_across_chunk_edges(monkeypatch, eavesdrop, seed):
+    # chunks of 4 rounds: runs that end inside, at and past a chunk edge
+    monkeypatch.setattr(applications, "_ROUND_CHUNK", 4)
+    sim, oracle = QssSimulator(eavesdrop), OracleQss(eavesdrop)
+    for rounds in [*range(12), 1001]:
+        assert sim.run(rounds, seed=seed) == oracle.run(rounds, seed=seed)
 
 
 def test_qss_run_rejects_negative_rounds():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisep import DensityMatrix, ResourceError, cli, criteria, manybody, tensor
+from multisep import DensityMatrix, ResourceError, cli, criteria, manybody, tensor, unstable
 from multisep.states import ElementProvider, family_state
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
@@ -234,6 +234,23 @@ class TestExitCodes:
             monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
             assert main(argv) == 0
 
+    @pytest.mark.parametrize("measure", [["cgme"], ["schmidt-rank", "--cut", "0"]])
+    def test_measure_counts_its_eigendecomposition(self, tmp_path, capsys, monkeypatch,
+                                                   measure):
+        # the loaded 8 x 8 GHZ matrix, eigh's copy, workspaces and
+        # eigenvectors: 80 D^2 bytes, more than the 48 D^2 of loading it
+        path = tmp_path / "ghz.json"
+        assert main(["state", "--kind", "ghz", "--n", "3", "--out", str(path)]) == 0
+        argv = ["measure", "--measure", *measure, "--in", str(path)]
+        need = 80 * 8 ** 2
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the 8 x 8 density matrix needs {need} bytes" in captured.err
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+        assert main(argv) == 0
+
     def test_ppt_beyond_the_dense_cap(self, capsys):
         # D = 4^8 = 65536, a 64 GiB dense matrix, but the support has 4 indices
         code, out = run_cli(capsys, "crit", "--crit", "ppt", "--family", "ghz-iso",
@@ -380,7 +397,7 @@ class TestFileErrors:
         (["measure", "--measure", "cgme", "--in", "{bad}"], "{bad}"),
         (["crit", "--crit", "ppt", "--family", "ghz-iso", "--alpha", "0.5",
           "--out", "{missing}/x"], "{missing}/x"),
-        (["unstable", "--grid-theta", "2", "--grid-phi", "2", "--out", "{missing}/x.csv"],
+        (["unstable", "--out", "{missing}/x.csv"],
          "{missing}/x.csv"),
         (["state", "--kind", "ghz", "--out", "{missing}/x"], "{missing}/x"),
         (["qss", "simulate", "--rounds", "5", "--emit-expectations", "{missing}/x.json"],
@@ -403,9 +420,9 @@ class TestUsageErrors:
         (["manybody", "--n", "0", "--lattice", "chain"], "at least one site"),
         (["crit", "--crit", "gme", "--probe", "000,111", "--family", "ghz-iso",
           "--alpha", "nan"], "outside the simplex"),
-        (["unstable", "--gamma1", "nan", "--grid-theta", "2", "--grid-phi", "2"],
+        (["unstable", "--gamma1", "nan"],
          "decay widths must be finite"),
-        (["unstable", "--alpha1", "inf", "--grid-theta", "2", "--grid-phi", "2"],
+        (["unstable", "--alpha1", "inf"],
          "angles, time and decay widths must be finite"),
         (["manybody", "--n", "3", "--kT", "nan", "--restarts", "1"],
          "temperature kT=nan must be positive"),
@@ -416,8 +433,8 @@ class TestUsageErrors:
         (["threshold", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
           "--lo", "0", "--hi", "1", "--threshold-tol", "nan"],
          "--threshold-tol must be finite and non-negative"),
-        (["unstable", "--t-stop", "inf", "--t-step", "1e308", "--grid-theta", "2",
-          "--grid-phi", "2"], "grid start, stop and step must be finite"),
+        (["unstable", "--t-stop", "inf", "--t-step", "1e308"],
+         "grid start, stop and step must be finite"),
         (["scan", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
           "--start", "0", "--stop", "nan", "--step", "0.5"], "must be finite"),
         (["manybody", "--n", "3", "--h-start=-inf", "--h-stop", "0"], "must be finite"),
@@ -441,6 +458,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["manybody", "--d", "7"],
         ["unstable", "--n", "9", "--seed", "4"],
+        ["unstable", "--grid-theta", "64"],
+        ["unstable", "--grid-phi", "128"],
         ["qss", "simulate", "--n", "7", "--max-dim", "1"],
         ["state", "--max-dim", "8"],
     ])
@@ -559,21 +578,32 @@ class TestManybodyCli:
 
     def test_wide_decay_width_gives_numbers(self, capsys):
         code, out = run_cli(capsys, "unstable", "--gamma1", "2000", "--t-start", "1",
-                            "--t-stop", "1", "--grid-theta", "4", "--grid-phi", "4")
+                            "--t-stop", "1")
         assert code == 0
         row = [float(x) for x in out.strip().splitlines()[1].split(",")]
         assert all(np.isfinite(row))
 
     @pytest.mark.parametrize("grid", [["--grid-phi", "-3"], ["--grid-theta", "0"]])
     def test_unstable_empty_grid_is_usage_error(self, capsys, grid):
-        assert main(["unstable", *grid]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: grid sizes must be at least 1")
+        # the sphere grid and its flags are gone: chsh_bound searches one
+        # great circle, so any grid flag is an unknown argument
+        code, out, err = run_outcome(capsys, ["unstable", *grid])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    def test_unstable_nonconvergence_exits_4_with_its_csv(self, capsys, monkeypatch):
+        # with no Newton iteration allowed no polish reaches its step tolerance
+        monkeypatch.setattr(unstable, "_NEWTON_ITER", 0)
+        code, out = run_cli(capsys, "unstable", "--t-start", "0", "--t-stop", "0.5",
+                            "--t-step", "0.25")
+        assert code == 4
+        header, *rows = out.strip().splitlines()
+        assert header == "t,B_minus,B_plus,singlet_value"
+        assert [row.split(",")[0] for row in rows] == ["0", "0.25", "0.5"]
 
     def test_unstable_csv(self, capsys):
         code, out = run_cli(capsys, "unstable", "--t-start", "0", "--t-stop", "0",
-                            "--t-step", "1", "--grid-theta", "16", "--grid-phi", "32")
+                            "--t-step", "1")
         assert code == 0
         header, row = out.strip().splitlines()
         assert header == "t,B_minus,B_plus,singlet_value"
@@ -645,6 +675,17 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n"
+
+    def test_unstable_leaves_scipy_unloaded(self):
+        # chsh_bound needs NumPy alone; importing scipy.optimize would add
+        # about 46 MB of resident memory to the command
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "multisep", "unstable"],
+                             env=env, check=True, capture_output=True, text=True)
+        assert run.stdout.startswith("t,B_minus,B_plus,singlet_value\n")
+        loaded = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+        assert "numpy" in loaded and "multisep.unstable" in loaded
+        assert not [name for name in loaded if name.split(".")[0] == "scipy"]
 
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

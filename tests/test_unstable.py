@@ -129,8 +129,7 @@ class TestChshBound:
         spreads = []
         plus = []
         for scale in np.linspace(1.0, 0.05, 10):
-            bounds = chsh_bound(tuple(shrink_setting(scale) for _ in range(4)),
-                                grid=(32, 64))
+            bounds = chsh_bound(tuple(shrink_setting(scale) for _ in range(4)))
             spreads.append(bounds.b_plus - bounds.b_minus)
             plus.append(bounds.b_plus)
         assert all(s1 >= s2 - 1e-9 for s1, s2 in zip(spreads, spreads[1:]))
@@ -138,19 +137,29 @@ class TestChshBound:
         assert all(p1 >= p2 - 1e-9 for p1, p2 in zip(plus, plus[1:]))
 
     def test_refinement_never_below_grid(self):
+        # the polished bounds bracket every product-state value on a
+        # 16 x 32 theta x phi grid of Alice's sphere, Bob optimal
         settings = (
             EffectiveOpParams(alpha=0.3, phi=0.4, t=0.5, gamma1=0.2, gamma2=0.6),
             EffectiveOpParams(alpha=1.1, phi=2.0, t=0.5, gamma1=0.2, gamma2=0.6),
             EffectiveOpParams(alpha=2.2, phi=1.1, t=0.8, gamma1=0.2, gamma2=0.6),
             EffectiveOpParams(alpha=0.9, phi=5.0, t=0.8, gamma1=0.2, gamma2=0.6),
         )
-        coarse = chsh_bound(settings, grid=(16, 32), refine=False)
-        refined = chsh_bound(settings, grid=(16, 32), refine=True)
-        assert refined.b_plus >= coarse.b_plus - 1e-12
-        assert refined.b_minus <= coarse.b_minus + 1e-12
+        theta, phi = np.meshgrid(np.linspace(0, pi, 16), np.linspace(0, 2 * pi, 32))
+        alice = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                          np.cos(theta)], axis=-1).reshape(-1, 3)
+        (na1, ca1), (na2, ca2), (nb1, cb1), (nb2, cb2) = (
+            (n, 1 - np.linalg.norm(n)) for n in map(bloch_vector, settings))
+        g1, g2 = ca1 + alice @ na1, ca2 + alice @ na2
+        base = g1 * (cb1 + cb2) + g2 * (cb1 - cb2)
+        spread = np.linalg.norm(g1[:, None] * (nb1 + nb2) + g2[:, None] * (nb1 - nb2), axis=1)
+        bounds = chsh_bound(settings)
+        assert bounds.converged
+        assert bounds.b_plus >= np.max(base + spread) - 1e-12
+        assert bounds.b_minus <= np.min(base - spread) + 1e-12
 
     def test_ordering(self):
-        bounds = chsh_bound(ORTHOGONAL, grid=(16, 32))
+        bounds = chsh_bound(ORTHOGONAL)
         assert bounds.b_minus <= bounds.b_plus
 
     def test_settings_arity(self):
