@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import criteria, manybody, measures, unstable
+from . import criteria, manybody, measures, tensor, unstable
 from .applications import QssSimulator, qss_verification_value
 from .errors import DomainError, ResourceError
 from .states import StateSpec, family_state, family_weights, make_state, mix_white_noise
@@ -34,6 +34,9 @@ from .tensor import (
 
 # Points one --start/--stop/--step grid may hold.
 _MAX_GRID_POINTS = 1_000_000
+
+# Bytes one batch of scan points may hold at its peak (see _family_sweep).
+_BATCH_BYTES = 1 << 25
 
 # The mixing weights that scan and threshold may sweep per family; the
 # first is the default --var.
@@ -111,13 +114,21 @@ def _load_state(args):
     raise DomainError("provide a state via --in FILE or --family NAME")
 
 
-def _family_builder(args):
-    """(build, var): build(value) is the family's provider with the
-    mixing weight var at value.
+def _family_sweep(args):
+    """(reports, var): reports(values) lists the criterion's report on
+    the family at each value of its mixing weight var, in order.
 
-    The family is built once, at the first point; every point reweights
-    the provider of the point before, so all of them share one support
-    table and one store of query plans, which lives as long as build.
+    The family is built once, at the first value.  The values are
+    evaluated in batches of points: each batch reweights the provider of
+    the batch before to all of its values at once, with a points axis
+    (MixtureProvider.reweighted), and the criterion reads the batch in
+    one pass, each point's value the float it gets alone.  A batch holds
+    as many points as fit in _BATCH_BYTES, and in the dense budget, at
+    criteria.point_bytes a point, and at least one; it also ends where
+    the set of nonzero weights changes.  A batch of one point, as each
+    step of threshold is, gets no points axis.  All providers share one
+    store of query plans, and the support tables while that set stays,
+    which live as long as reports.
     """
     family = args.family
     if family not in _FAMILY_VARS:
@@ -126,18 +137,51 @@ def _family_builder(args):
     if var not in _FAMILY_VARS[family]:
         raise DomainError(f"--var {var!r} is not a mixing weight of {family}; "
                           f"choose from {', '.join(_FAMILY_VARS[family])}")
-    provider = None
+    evaluate = _criterion(args)
+    block = (args.block or [0]) if args.crit == "ppt" else None
+    provider = per_batch = None
 
-    def build(value):
+    def weights(value):
+        return {"alpha": args.alpha, "beta": args.beta, "p": args.p, var: value}
+
+    def evaluated(batch):
+        """The reports at the points of batch, (term weights, noise
+        weight) rows; one point is reweighted without a points axis."""
         nonlocal provider
-        weights = {"alpha": args.alpha, "beta": args.beta, "p": args.p, var: value}
+        if len(batch) == 1:
+            provider = provider.reweighted(*batch[0])
+            return [evaluate(provider)]
+        provider = provider.reweighted(*zip(*batch))
+        return evaluate(provider)
+
+    def nonzero(row):
+        return [w != 0.0 for w in row[0]]
+
+    def reports(values):
+        nonlocal provider, per_batch
+        if not values:
+            return []
         if provider is None:
             provider = family_state(family, representation="provider", n=args.n, d=args.d,
-                                    m=args.m, **weights)
-        provider = provider.reweighted(*family_weights(family, n=args.n, **weights))
-        return provider
+                                    m=args.m, **weights(values[0]))
+            budget = min(_BATCH_BYTES, tensor._DENSE_BYTES)
+            per_batch = max(1, budget // criteria.point_bytes(provider, block))
+        out, batch = [], []
+        for value in values:
+            try:
+                row = family_weights(family, n=args.n, **weights(value))
+            except DomainError:
+                if batch:  # the points before this one raise first, as one at a time
+                    evaluated(batch)
+                raise
+            # points with other nonzero terms get other tables (and PPT another S)
+            if batch and (len(batch) == per_batch or nonzero(row) != nonzero(batch[0])):
+                out += evaluated(batch)
+                batch = []
+            batch.append(row)
+        return out + evaluated(batch)
 
-    return build, var
+    return reports, var
 
 
 def _check_tolerance(flag, tol):
@@ -264,22 +308,20 @@ def _grid(start, stop, step):
 
 
 def cmd_scan(args):
-    build, var = _family_builder(args)
-    evaluate = _criterion(args)
+    reports, var = _family_sweep(args)
+    values = _grid(args.start, args.stop, args.step)
     lines = [f"{var},value,violated"]
-    for value in _grid(args.start, args.stop, args.step):
-        report = evaluate(build(value))
+    for value, report in zip(values, reports(values)):
         lines.append(f"{_fmt(float(value))},{_fmt(report.value)},{_fmt(report.violated)}")
     _write_lines(lines, args.out)
     return 0
 
 
 def cmd_threshold(args):
-    build, var = _family_builder(args)
-    evaluate = _criterion(args)
+    reports, var = _family_sweep(args)
 
     def detected(value):
-        return evaluate(build(value)).violated
+        return reports([value])[0].violated
 
     lo, hi = args.lo, args.hi
     _check_tolerance("--threshold-tol", args.threshold_tol)

@@ -44,6 +44,16 @@ there the plan is recorded at the first point, up to _PLAN_BYTES, and
 replayed at every later one, in the same chunks and fold order, so
 each value is the same, bit for bit.
 
+A scan evaluates its grid in batches of points: a provider reweighted
+to P points at once has a points axis (MixtureProvider.reweighted), and
+every kernel then carries that leading axis through the same plan,
+chunks and fold order, reducing over trailing axes only.  So a point's
+value is the float it gets alone, whatever batch it lands in, and a
+criterion returns one report per point.  point_bytes bounds what one
+point of a batch holds, so that a caller can size its batches.  The
+single-state criteria (mlinear_value, rank_m_determinant,
+best_computational_probe) refuse a batch.
+
 Probe states are computational-basis product multi-indices; the basis
 freedom of the underlying inequalities is realised by conjugating the
 state with local unitaries (tensor.apply_local_unitaries) before
@@ -55,7 +65,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from math import sqrt
+from math import prod, sqrt
 from types import GeneratorType
 
 import numpy as np
@@ -70,8 +80,21 @@ from .partitions import (  # noqa: F401
     k_partition_rows,
     partition_count,
 )
-from .states import FlippedProvider, MixtureProvider, as_provider, ghz_state, w_state
-from .tensor import DensityMatrix, _check_dense_bytes, hermitian_spectrum, partial_transpose
+from .states import (
+    FlippedProvider,
+    MixtureProvider,
+    as_provider,
+    ghz_state,
+    single_state,
+    w_state,
+)
+from .tensor import (
+    DensityMatrix,
+    _check_block,
+    _check_dense_bytes,
+    hermitian_spectrum,
+    partial_transpose,
+)
 
 DEFAULT_TOL = 1e-10
 
@@ -156,6 +179,48 @@ def _report(name, value, params=None, probe=None, tol=DEFAULT_TOL):
     )
 
 
+def _sum(x):
+    """Sum over the last axis.  NumPy sums a contiguous 1-D array
+    pairwise, but a reduction over the last axis of a batch may run in
+    another order, depending on the layout that indexing left; so each
+    row is summed from a C-contiguous copy, as a single state's 1-D array
+    is, and gets the same float."""
+    return np.ascontiguousarray(x).sum(axis=-1)
+
+
+def _root_product(x, y):
+    """sqrt(x y) elementwise, taken in place in the product, which a
+    batch of points makes P times as large."""
+    out = x * y
+    return np.sqrt(out, out=out)
+
+
+def _reports(prov, value, report):
+    """report(v) of the criterion value v of a single state, or the list
+    of report(v) at each point of prov's points axis."""
+    if prov.points is None:
+        return report(float(value))
+    return [report(v) for v in np.asarray(value, dtype=float).reshape(prov.lead).tolist()]
+
+
+def point_bytes(prov, block=None):
+    """Bytes one point of a batch of prov's mixture holds at its peak in
+    a criterion, at most, whatever the weights: its rows of the stacked
+    tables of MixtureProvider.reweighted, K (16 T + 8) over the K - 1
+    support indices of all T terms, plus a full _CHUNK kernel batch with
+    its temporaries, or with `block` the 48 |S|^2 of ppt_check on it,
+    |S| <= min(s, D / D_B) min(s, D_B) for s = K - 1 support indices.
+    """
+    terms = len(prov.terms)
+    support = sum(len(amps) for _, amps in prov.terms)
+    tables = (support + 1) * (16 * terms + 8)
+    if block is None:
+        return tables + _CHUNK * (32 * terms + 48)
+    block_dim = prod(prov.shape.dims[i] for i in _check_block(block, prov.shape.n))
+    size = min(support, prov.shape.total // block_dim) * min(support, block_dim)
+    return tables + 48 * size ** 2
+
+
 # ---------------------------------------------------------------------------
 # Partition-sum kernel
 # ---------------------------------------------------------------------------
@@ -195,12 +260,13 @@ def _subset_batches(lo, hi, steps, proper):
 
 
 def _subset_root_sum(prov, batches, rows):
-    """Per row, the sum of sqrt(D(x) D(y)) over the pairs [x, y] of its
-    _subset_batches, D = prov.diagonal."""
-    out = np.zeros(rows)
+    """Per row (the last axis, after prov's points axis), the sum of
+    sqrt(D(x) D(y)) over the pairs [x, y] of its _subset_batches,
+    D = prov.diagonal."""
+    out = np.zeros(prov.lead + (rows,))
     for block, flat in batches:
         diag = prov.diagonal(flat)
-        out[block] += np.sqrt(diag[0] * diag[1]).sum(axis=1)
+        out[..., block] += _sum(_root_product(diag[..., 0, :, :], diag[..., 1, :, :]))
     return out
 
 
@@ -219,12 +285,13 @@ def _block_batches(lo, hi, steps, k, cap):
 
 def _block_root_sum(prov, batches, k):
     """Sum over the k-partitions P of _block_batches of
-    prod_{g in P} (D(lo + s_g) D(hi - s_g))^(1/2k), D = prov.diagonal."""
-    total = 0.0
+    prod_{g in P} (D(lo + s_g) D(hi - s_g))^(1/2k), D = prov.diagonal,
+    one per point of prov's points axis."""
+    total = np.zeros(prov.lead)
     for flat in batches:
         diag = prov.diagonal(flat)
-        terms = (diag[0] * diag[1]).prod(axis=1)
-        total += float(np.sum(terms ** (1.0 / (2 * k))))
+        terms = (diag[..., 0, :, :] * diag[..., 1, :, :]).prod(axis=-1)
+        total = total + _sum(terms ** (1.0 / (2 * k)))
     return total
 
 
@@ -278,7 +345,10 @@ def _probe_batches(shape, a, b, k, cap):
 
     Site i's step (a_i - b_i) w_i moves it from b's label to a's, so
     a_g b_rest sits at flat(b) + s_g and b_g a_rest at flat(a) - s_g.
+    The probes are checked against the shape here, so once per plan.
     """
+    for mi in (*a, *b):
+        shape.validate_index(mi)
     n = shape.n
     w = shape.place_values()
     a = np.asarray(a, dtype=w.dtype).reshape(-1, n)
@@ -297,7 +367,7 @@ def _probe_batches(shape, a, b, k, cap):
 
 def _probe_terms(prov, a, b, k, cap):
     """(|rho_ab|, partition sum) for each pair of rows of a, b, tuples
-    of label tuples.
+    of label tuples, on the last axis after prov's points axis.
 
     The partition sum runs over the k-partitions of the sites of
     prod_g (D(a_g b_rest) D(b_g a_rest))^(1/2k).
@@ -307,7 +377,8 @@ def _probe_terms(prov, a, b, k, cap):
     off = np.abs(prov.elements(flat_a, flat_b))
     if k == 2:
         return off, _subset_root_sum(prov, batches, len(flat_a))
-    return off, np.array([_block_root_sum(prov, row, k) for row in batches])
+    # (rows,) + lead, transposed: the points axis is at most one axis
+    return off, np.array([_block_root_sum(prov, row, k) for row in batches]).T
 
 
 def _dicke_batches(shape, m, f):
@@ -361,7 +432,8 @@ def _dicke_total(prov, m, f):
     B = l_l(beta), minus the sum of sqrt(D(A with B on S) D(B with A on S))
     over the non-empty proper subsets S of the sites other than y; minus
     mu (n-mu-1)(f-1) times the summed diagonals D(l_k(alpha)).  m > n/2
-    is evaluated on the flipped state |j> -> |d-1-j> at mu = n - m.
+    is evaluated on the flipped state |j> -> |d-1-j> at mu = n - m.  One
+    total per point of prov's points axis.
     """
     n = prov.shape.n
     mu = min(m, n - m)
@@ -369,13 +441,13 @@ def _dicke_total(prov, m, f):
     total = diag_sum = 0.0
     for pair, lower, upper, diag, crosses in _planned(
             prov, ("dicke", m, f), lambda: _dicke_batches(prov.shape, m, f)):
-        total += np.abs(omega.elements(*pair)).sum()
-        total -= np.sqrt(omega.diagonal(lower) * omega.diagonal(upper)).sum()
-        diag_sum += omega.diagonal(diag).sum()
+        total += _sum(np.abs(omega.elements(*pair)))
+        total -= _sum(_root_product(omega.diagonal(lower), omega.diagonal(upper)))
+        diag_sum += _sum(omega.diagonal(diag))
         for flat_a, flat_b, batches in crosses:
             cross = np.abs(omega.elements(flat_a, flat_b)) - _subset_root_sum(
                 omega, batches, len(flat_a))
-            total += 2.0 * cross.sum()
+            total += 2.0 * _sum(cross)
     return total - mu * (n - mu - 1) * (f - 1) * diag_sum
 
 
@@ -402,40 +474,50 @@ def ppt_check(state, block, tol=DEFAULT_TOL):
     and diagonalised whole.  A MixtureProvider, L + w_noise I/D with L on
     s support indices, never is: L^{T_block} vanishes off a set S of
     |S| >= s indices, the off-block digit patterns of the support times
-    its block patterns (MixtureProvider.low_rank_partial_transpose), so
+    its block patterns (MixtureProvider.transpose_support), so
     lambda_min = w_noise/D + min(lambda_min(L^{T_block} on S), 0 if
     |S| < D).  Either way the step holds the transpose and the conjugate
     and difference of hermitian_spectrum's Hermiticity check, 48 D^2 or
     48 |S|^2 bytes, checked against the dense budget before the
-    transpose is built (ResourceError above it), so |S| <= 6688.
+    transpose is built (ResourceError above it), so |S| <= 6688.  S and
+    its scatter index depend on the support only: the providers of a
+    sweep keep them in their plan store, per block and set of live
+    terms.  A MixtureProvider with a points axis shares them over the
+    batch, and its P blocks are diagonalised in one stacked call; it
+    counts 48 |S|^2 bytes a point.
     """
     if isinstance(state, DensityMatrix):
         total = state.shape.total
         _check_dense_bytes(48 * total ** 2,
                            f"the partial transpose of a dense {total} x {total} state")
         least = hermitian_spectrum(partial_transpose(state, block))[0]
-    elif isinstance(state, MixtureProvider):
-        support, low_rank = state.low_rank_partial_transpose(block)
-        total = state.shape.total
-        least = hermitian_spectrum(low_rank)[0] if len(support) else 0.0
-        if len(support) < total:
-            least = min(least, 0.0)
-        least += state.noise_weight / total
-    else:
+        return _report("ppt", -least, params={"block": sorted(int(b) for b in block)},
+                       tol=tol)
+    if not isinstance(state, MixtureProvider):
         raise DomainError(
             f"ppt_check needs a DensityMatrix or a MixtureProvider, got {type(state).__name__}")
-    return _report("ppt", -least, params={"block": sorted(int(b) for b in block)}, tol=tol)
+    block = _check_block(block, state.shape.n)
+    params = {"block": block}
+    support, low_rank = state.low_rank_partial_transpose(block, _planned(
+        state, ("ppt", tuple(block), state.live), lambda: state.transpose_support(block)))
+    total = state.shape.total
+    least = hermitian_spectrum(low_rank)[..., 0] if len(support) else np.zeros(state.lead)
+    if len(support) < total:
+        least = np.where(0.0 < least, 0.0, least)  # min(least, 0.0), signed zeros included
+    least = least + state.noise_weight / float(total)
+    return _reports(state, -least, lambda v: _report("ppt", v, params=params, tol=tol))
 
 
 def _probe_value(state, k, probe, cap):
-    """Checked (probe, |rho_ab|, k-partition sum) of a single-probe criterion."""
+    """Checked (provider, probe, |rho_ab|, k-partition sum) of a
+    single-probe criterion, the last two per point."""
     prov = as_provider(state)
     n = prov.shape.n
     if not 2 <= k <= n:
         raise DomainError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    probe = _coerce_probe(probe).validate(prov.shape)
+    probe = _coerce_probe(probe)  # checked against the shape with its plan
     off, s = _probe_terms(prov, (probe.a,), (probe.b,), k, cap)
-    return probe, float(off[0]), float(s[0])
+    return prov, probe, off[..., 0], s[..., 0]
 
 
 def bipartite_value(state, probe, tol=DEFAULT_TOL):
@@ -448,8 +530,8 @@ def bipartite_value(state, probe, tol=DEFAULT_TOL):
     prov = as_provider(state)
     if prov.shape.n != 2:
         raise DomainError(f"bipartite criterion needs n=2, got n={prov.shape.n}")
-    probe, off, s = _probe_value(prov, 2, probe, DEFAULT_ENUMERATION_CAP)
-    return _report("bipartite", off - s, probe=probe, tol=tol)
+    prov, probe, off, s = _probe_value(prov, 2, probe, DEFAULT_ENUMERATION_CAP)
+    return _reports(prov, off - s, lambda v: _report("bipartite", v, probe=probe, tol=tol))
 
 
 def gme_value(state, probe, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
@@ -461,8 +543,8 @@ def gme_value(state, probe, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
     certifies genuine multipartite entanglement.  This is ksep_value at
     k = 2; for n = 2 it reduces to the bipartite criterion.
     """
-    probe, off, s = _probe_value(state, 2, probe, cap)
-    return _report("gme", off - s, probe=probe, tol=tol)
+    prov, probe, off, s = _probe_value(state, 2, probe, cap)
+    return _reports(prov, off - s, lambda v: _report("gme", v, probe=probe, tol=tol))
 
 
 def ksep_value(state, k, probe, doubled_first_term=False, tol=DEFAULT_TOL,
@@ -479,14 +561,12 @@ def ksep_value(state, k, probe, doubled_first_term=False, tol=DEFAULT_TOL,
     default single-element form is the one that reproduces the known
     ghz-isotropic family thresholds (3/35, 1/65).
     """
-    probe, off, s = _probe_value(state, k, probe, cap)
+    prov, probe, off, s = _probe_value(state, k, probe, cap)
     if doubled_first_term:
-        off *= 2.0
-    return _report(
-        "ksep", off - s,
-        params={"k": int(k), "doubled_first_term": bool(doubled_first_term)},
-        probe=probe, tol=tol,
-    )
+        off = 2.0 * off
+    params = {"k": int(k), "doubled_first_term": bool(doubled_first_term)}
+    return _reports(prov, off - s,
+                      lambda v: _report("ksep", v, params=params, probe=probe, tol=tol))
 
 
 def dicke_gme_value(state, m, tol=DEFAULT_TOL):
@@ -506,7 +586,8 @@ def dicke_gme_value(state, m, tol=DEFAULT_TOL):
         raise DomainError("the Dicke criterion is defined for qubit systems")
     if not 1 <= m <= n - 1:
         raise DomainError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    return _report("dicke_gme", _dicke_total(prov, m, 2), params={"m": int(m)}, tol=tol)
+    return _reports(prov, _dicke_total(prov, m, 2),
+                      lambda v: _report("dicke_gme", v, params={"m": int(m)}, tol=tol))
 
 
 def q0_value(state, f=2, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
@@ -529,11 +610,11 @@ def q0_value(state, f=2, tol=DEFAULT_TOL, cap=DEFAULT_ENUMERATION_CAP):
     for l in range(d):
         others = tuple((k,) * n for k in range(d) if k != l)
         off, s = _probe_terms(prov, ((l,) * n,) * (d - 1), others, 2, cap)
-        q0 += float((off - s).sum())
-    return _report(
-        "q0", q0, params={"d": d, "f": int(f), "detected_f": _detected_f(q0, d, tol)},
+        q0 += _sum(off - s)
+    return _reports(prov, q0, lambda v: _report(
+        "q0", v, params={"d": d, "f": int(f), "detected_f": _detected_f(v, d, tol)},
         tol=(f - 2) + tol,
-    )
+    ))
 
 
 def qm_value(state, m, f=2, tol=DEFAULT_TOL):
@@ -554,11 +635,11 @@ def qm_value(state, m, f=2, tol=DEFAULT_TOL):
     if not 2 <= f <= d:
         raise DomainError(f"f must satisfy 2 <= f <= d, got f={f}, d={d}")
     value = _dicke_total(prov, m, f) / min(m, n - m)
-    return _report(
-        "qm", value,
-        params={"m": int(m), "d": d, "f": int(f), "detected_f": _detected_f(value, d, tol)},
+    return _reports(prov, value, lambda v: _report(
+        "qm", v,
+        params={"m": int(m), "d": d, "f": int(f), "detected_f": _detected_f(v, d, tol)},
         tol=(f - 2) + tol,
-    )
+    ))
 
 
 def double_class_value(state, tol=DEFAULT_TOL):
@@ -578,11 +659,11 @@ def double_class_value(state, tol=DEFAULT_TOL):
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     pairs = w[i] + w[j]
     off = prov.elements(w[i], w[j]) + (-1.0) ** (n + 1) * prov.elements(top - w[i], top - w[j])
-    total = (off.real.sum()
-             - (n - 2) * prov.diagonal(np.concatenate([w, top - w])).sum()
-             - prov.diagonal(np.concatenate([pairs, top - pairs])).sum()
-             - n * (n - 1) / 2 * prov.diagonal(np.array([0, top])).sum())
-    return _report("double_class", total, tol=tol)
+    total = (_sum(off.real)
+             - (n - 2) * _sum(prov.diagonal(np.concatenate([w, top - w])))
+             - _sum(prov.diagonal(np.concatenate([pairs, top - pairs])))
+             - n * (n - 1) / 2 * _sum(prov.diagonal(np.array([0, top]))))
+    return _reports(prov, total, lambda v: _report("double_class", v, tol=tol))
 
 
 def ntuple_class_value(state, tol=DEFAULT_TOL):
@@ -598,8 +679,9 @@ def ntuple_class_value(state, tol=DEFAULT_TOL):
     alpha = 1.5 if n == 3 else (1.0 if n == 4 else 0.5)
     top = prov.shape.total - 1
     value = (prov.elements(0, top).real
-             - alpha * (1.0 - prov.diagonal(np.array([0, top])).sum()))
-    return _report("ntuple_class", value, params={"alpha": alpha}, tol=tol)
+             - alpha * (1.0 - _sum(prov.diagonal(np.array([0, top])))))
+    return _reports(prov, value,
+                      lambda v: _report("ntuple_class", v, params={"alpha": alpha}, tol=tol))
 
 
 _WITNESS_CONSTANTS = {"ghz3": 0.75, "w3": 2.0 / 3.0}
@@ -630,10 +712,11 @@ def fidelity_witness_value(state, kind="ghz3", alpha=None, psi=None, tol=DEFAULT
     support = np.flatnonzero(np.abs(psi.amp) > 1e-14)
     amp = psi.amp[support]
     block = prov.elements(support[:, None], support[None, :])
-    fidelity = (amp.conj()[:, None] * block * amp[None, :]).real.sum()
-    return _report(
-        "fidelity_witness", fidelity - alpha, params={"kind": kind, "alpha": alpha}, tol=tol
-    )
+    # summed over each point's flattened block, as a single state's
+    fidelity = _sum((amp.conj()[:, None] * block * amp[None, :]).real.reshape(
+        prov.lead + (-1,)))
+    return _reports(prov, fidelity - alpha, lambda v: _report(
+        "fidelity_witness", v, params={"kind": kind, "alpha": alpha}, tol=tol))
 
 
 def mlinear_value(state, probes, tol=DEFAULT_TOL):
@@ -649,6 +732,7 @@ def mlinear_value(state, probes, tol=DEFAULT_TOL):
     the negative_radicand flag set.
     """
     prov = as_provider(state)
+    single_state(prov, "the m-linear criterion")
     if prov.shape.n != 2:
         raise DomainError(f"the m-linear criterion needs n=2, got n={prov.shape.n}")
     nodes = np.array([prov.shape.validate_index(p) for p in probes]).reshape(-1, 2)
@@ -675,6 +759,7 @@ def rank_m_determinant(state, rows, tol=DEFAULT_TOL):
     determinant to zero and are reported with the degenerate flag.
     """
     prov = as_provider(state)
+    single_state(prov, "the determinant criterion")
     if prov.shape.n != 2:
         raise DomainError(f"the determinant criterion needs n=2, got n={prov.shape.n}")
     rows = [(int(i), int(j)) for i, j in rows]
@@ -708,6 +793,7 @@ def best_computational_probe(state, limit=4096):
     probe is often what an experimenter would pick after local rotations).
     """
     prov = as_provider(state)
+    single_state(prov, "the probe search")
     shape = prov.shape
     if shape.total > limit:
         raise DomainError(f"probe search over dimension {shape.total} exceeds limit {limit}")

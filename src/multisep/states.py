@@ -14,15 +14,19 @@ provider evaluates.
 A sweep over the mixing weights builds the family once:
 MixtureProvider.reweighted gives the same mixture at new weights,
 sharing the amplitude maps, the support tables and a store of the
-criteria's query plans, so each point only reweights the tables.  A
-provider that was never reweighted has no plan store, and the criteria
-stream their queries in bounded chunks.
+criteria's query plans, so each point only reweights the tables.  It
+takes a batch of points as well, P rows of weights: the provider then
+has a points axis (`points` = P) and answers every query with a
+leading axis of length P, one entry per point, each the float that
+point gets alone.  So the criteria read a whole batch of a scan in one
+pass.  A provider that was never reweighted has no points axis and no
+plan store, and the criteria stream its queries in bounded chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -61,10 +65,18 @@ class ElementProvider:
     `plans` is the store in which the criteria keep their query plans
     (the flat-index arrays they pass to elements and diagonal), shared
     by every provider of one sweep; None, the default, makes them stream.
+    `points` is the length of the points axis of a batch of states
+    (MixtureProvider.reweighted), None for a single state.
     """
 
     shape: SystemShape
     plans = None
+    points = None
+
+    @property
+    def lead(self):
+        """The points axis as a shape: () for a single state, else (P,)."""
+        return () if self.points is None else (self.points,)
 
     def element(self, bra, ket):
         raise NotImplementedError
@@ -85,6 +97,7 @@ class ElementProvider:
         return np.maximum(self.elements(flat, flat).real, 0.0)
 
     def to_dense(self, validate=True):
+        single_state(self, "a dense matrix")
         total = self.shape.total  # counted as DensityMatrix counts it, before it is built
         _check_dense_bytes((3 if validate else 1) * 16 * total ** 2,
                            f"a dense {total} x {total} density matrix"
@@ -124,7 +137,9 @@ class MixtureProvider(ElementProvider):
     state given this way gets a provider for free.  The constructor also
     lays the terms out as tables over the sorted flat indices of their
     joint support plus one trailing zero column for every index off the
-    support; batch queries find their columns by searchsorted.
+    support; batch queries find their columns by one searchsorted (see
+    _columns).  `live` holds the indices of the terms the tables cover,
+    those with a nonzero weight (at some point of a batch).
     """
 
     def __init__(self, shape, terms, noise_weight=0.0):
@@ -134,63 +149,125 @@ class MixtureProvider(ElementProvider):
         terms = list(terms)
         weights, noise_weight = _checked_weights([w for w, _ in terms], noise_weight)
         self.terms = []
-        flats = []
+        self._flats = []
         for weight, (_, amps) in zip(weights, terms):
             flat, keys = _encode(shape, list(amps))
             values = [complex(v) for v in amps.values()]
             self.terms.append((weight, dict(zip(keys, values))))
-            flats.append((flat, values))
+            self._flats.append((flat, values))
+        self._tabulate(tuple(t for t, w in enumerate(weights) if w != 0.0))
+        self._set_weights(noise_weight)
 
-        self._live = tuple(t for t, w in enumerate(weights) if w != 0.0)
-        live = [flats[t] for t in self._live]
-        support = sorted({x for flat, _ in live for x in flat.tolist()})
+    def _tabulate(self, live):
+        """Tables over the joint support of the terms `live` (indices into
+        self.terms), the terms with a nonzero weight."""
+        self.live = live
+        support = sorted({x for t in live for x in self._flats[t][0].tolist()})
         # The sentinel `total` is no flat index, so every miss lands on it.
-        self._keys = np.array(support + [shape.total], dtype=shape.index_dtype)
+        self._keys = np.array(support + [self.shape.total], dtype=self.shape.index_dtype)
+        # Each key k and k + 1, sorted: the number r of these at or below
+        # x is odd exactly when x is a key, the (r // 2)-th
+        keys = self._keys[:-1]
+        self._edges = np.sort(np.concatenate([keys, keys + 1]))
+        self._column_of = np.full(len(self._edges) + 1, len(support), dtype=np.intp)
+        self._column_of[1::2] = np.arange(len(support))
         self._amps = np.zeros((len(live), len(self._keys)), dtype=complex)
-        for row, (flat, values) in zip(self._amps, live):
+        for row, t in zip(self._amps, live):
+            flat, values = self._flats[t]
             row[self._keys.searchsorted(flat)] = values
-        self._set_weights(weights, noise_weight)
+        self._conj_amps = self._amps.conj()
 
-    def _set_weights(self, weights, noise_weight):
+    def _set_weights(self, noise_weight):
+        """Tables at the weights of self.terms, each a weight or, for a
+        batch of P points, a tuple of P, and noise_weight, a float or an
+        array of P.  The weighted table has the live terms on its first
+        axis, then the points; the diagonal table is the diagonal at each
+        support index (and the noise alone in the zero column), clipped
+        at 0."""
         self.noise_weight = noise_weight
-        live = np.array([weights[t] for t in self._live]).reshape(-1, 1)
-        self._weighted = live * self._amps
-        self._support_diag = (self._weighted * self._amps.conj()).real.sum(axis=0)
+        self._noise = noise_weight / float(self.shape.total)
+        weights = np.array([self.terms[t][0] for t in self.live], dtype=float)
+        # (live terms, K), or (live terms, P, K) with a points axis
+        self._weighted = weights.reshape((-1,) + self.lead + (1,)) * self._per_term(self._amps)
+        support_diag = _term_sum(self._weighted * self._per_term(self._conj_amps)).real
+        self._diag = np.maximum(support_diag + self._per_point(self._noise, self._keys), 0.0)
 
     def reweighted(self, weights, noise_weight):
         """The same mixture at term weights `weights` (one per term, in
         order) and noise weight `noise_weight`, checked as the constructor
         checks them.
 
-        The copy shares the amplitude maps and, while the same terms stay
-        nonzero, the support tables; a change in the nonzero terms builds
-        the tables anew.  It also shares the query-plan store (`plans`)
-        of this provider, or starts one: the criteria record their index
-        arrays once per sweep and replay them at every point.  The store
-        lives as long as the providers that share it.
+        Given P rows of term weights and a sequence of P noise weights, it
+        is a batch of P points instead: the copy has a points axis
+        (`points` = P), and elements / diagonal answer with a leading
+        axis of length P, each entry the float that a copy reweighted to
+        that point alone gives.  Its tables then hold P rows (about
+        K (16 T + 8) bytes a point over K support indices and T live
+        terms), so a caller sizes its batches by bytes; a scan keeps each
+        batch within a fixed byte bound (see criteria.point_bytes).  A
+        term is live if it is nonzero at any point of the batch.  A point
+        with fewer nonzero terms then shares the larger tables: its
+        elements and diagonals stay the same floats, but the PPT step
+        works on the larger support (low_rank_partial_transpose), which
+        can change the last bits of its spectrum, so a scan ends a batch
+        where the nonzero terms change.
+
+        The copy shares the amplitude maps and, while the same terms are
+        live, the support tables; a change in the live terms builds the
+        tables anew.  It also shares the query-plan store (`plans`) of
+        this provider, or starts one: the criteria record their index
+        arrays once per sweep and replay them at every point or batch.
+        The store lives as long as the providers that share it.
         """
+        if not hasattr(noise_weight, "__len__"):
+            return self._copy(None, *self._checked(weights, noise_weight))
+        points = len(noise_weight)
+        if not points or len(weights) != points:
+            raise DomainError(f"a batch needs as many weight rows ({len(weights)}) as "
+                              f"noise weights ({points}), at least one")
+        rows = [self._checked(w, v) for w, v in zip(weights, noise_weight)]
+        return self._copy(points, list(zip(*(row for row, _ in rows))),
+                          np.array([v for _, v in rows]))
+
+    def _checked(self, weights, noise_weight):
+        """_checked_weights of one point, which also needs one weight per term."""
         weights, noise_weight = _checked_weights(weights, noise_weight)
         if len(weights) != len(self.terms):
             raise DomainError(
                 f"{len(weights)} weights given for a mixture of {len(self.terms)} terms")
-        terms = [(w, amps) for w, (_, amps) in zip(weights, self.terms)]
-        if tuple(t for t, w in enumerate(weights) if w != 0.0) == self._live:
-            out = object.__new__(MixtureProvider)
-            vars(out).update(vars(self), terms=terms)
-            out._set_weights(weights, noise_weight)
-        else:
-            out = MixtureProvider(self.shape, terms, noise_weight)
+        return weights, noise_weight
+
+    def _copy(self, points, weights, noise_weight):
+        """reweighted's copy at checked weights, one per term: a float, or
+        with P points a tuple of P, and noise_weight, a float or an array
+        of P."""
+        out = object.__new__(MixtureProvider)
+        vars(out).update(vars(self), points=points,
+                         terms=[(w, amps) for w, (_, amps) in zip(weights, self.terms)])
+        live = tuple(t for t, w in enumerate(weights) if (w if points is None else any(w)))
+        if live != self.live:
+            out._tabulate(live)
+        out._set_weights(noise_weight)
         out.plans = {} if self.plans is None else self.plans
         return out
 
     def element(self, bra, ket):
+        single_state(self, "element")
         return complex(self.elements(self.shape.encode(bra), self.shape.encode(ket)))
 
     def _columns(self, flat):
         """Table column of each flat index; indices off the support get the zero column."""
-        col = np.asarray(self._keys.searchsorted(flat))
-        col[self._keys[col] != flat] = len(self._keys) - 1
-        return col
+        return self._column_of[self._edges.searchsorted(flat, side="right")]
+
+    def _per_point(self, value, flat):
+        """value, a float or an array of P, shaped to broadcast against an
+        answer for flat."""
+        return value if self.points is None else value.reshape((-1,) + (1,) * np.ndim(flat))
+
+    def _per_term(self, table):
+        """A (live terms, ...) table shaped to broadcast against the
+        weighted table, (live terms, 1, ...) with a points axis."""
+        return table if self.points is None else table[:, None]
 
     def elements(self, bra_flat, ket_flat):
         dtype = self.shape.index_dtype
@@ -199,27 +276,31 @@ class MixtureProvider(ElementProvider):
         if bra_flat.shape != ket_flat.shape:
             # the tables' leading term axis would misalign them
             bra_flat, ket_flat = np.broadcast_arrays(bra_flat, ket_flat)
-        val = (self._weighted[:, self._columns(bra_flat)]
-               * self._amps[:, self._columns(ket_flat)].conj()).sum(axis=0)
-        return val + np.where(bra_flat == ket_flat, self.noise_weight / self.shape.total, 0.0)
+        val = _term_sum(self._weighted[..., self._columns(bra_flat)]
+                        * self._per_term(self._conj_amps[:, self._columns(ket_flat)]))
+        # in place: val is a fresh array, and a batch's is P times as large
+        val += np.where(bra_flat == ket_flat, self._per_point(self._noise, bra_flat), 0.0)
+        return val
 
     def diagonal(self, flat):
-        flat = np.asarray(flat, dtype=self.shape.index_dtype)
-        val = self._support_diag[self._columns(flat)] + self.noise_weight / self.shape.total
-        return np.maximum(val, 0.0)
+        return self._diag[..., self._columns(np.asarray(flat, dtype=self.shape.index_dtype))]
 
-    def low_rank_partial_transpose(self, block):
-        """(S, M) with rho^{T_block} = M on S x S + noise_weight/total * I.
+    def transpose_support(self, block):
+        """(S, where): the sorted flat indices S on which the partial
+        transpose of L = sum_t w_t |psi_t><psi_t| on `block` lives, and
+        where[i, j], the position in S to which L[x_i, x_j] moves, x_i
+        the support indices.
 
-        The low-rank part L = sum_t w_t |psi_t><psi_t| lives on the s
-        support indices.  Partial transposition moves L[x, y] to (x', y'),
-        x' being x with its block digits taken from y and y' being y with
-        its block digits taken from x, so it vanishes off S x S, where S
-        (sorted flat indices) is the set of every x'.  S joins each of the
-        |O| distinct off-block digit patterns of the support with each of
-        its |B| distinct block patterns, so s <= |S| = |O| |B|.  |S| is
-        found in O(s), and the PPT step's peak, 48 |S|^2 bytes (see
-        criteria.ppt_check), is checked before L or M is built.
+        L lives on the s support indices.  Partial transposition moves
+        L[x, y] to (x', y'), x' being x with its block digits taken from
+        y and y' being y with its block digits taken from x, so it
+        vanishes off S x S, where S is the set of every x'.  S joins each
+        of the |O| distinct off-block digit patterns of the support with
+        each of its |B| distinct block patterns, so s <= |S| = |O| |B|.
+        |S| is found in O(s), and the PPT step's peak at one point,
+        48 |S|^2 bytes (see criteria.ppt_check), is checked before
+        `where` is built.  Both depend on the tables only, not on the
+        weights.
         """
         block = _check_block(block, self.shape.n)
         keys = self._keys[:-1]
@@ -241,13 +322,33 @@ class MixtureProvider(ElementProvider):
         rank[order] = np.arange(size)
         # x' = x off the block + y on it; y' of (x, y) is x' of (y, x)
         where = rank.reshape(len(off), len(on))[off_of[:, None], on_of[None, :]]
-        mat = np.zeros((size, size), dtype=complex)
-        mat[where, where.T] = self._low_rank()
-        return joined[order], mat
+        return joined[order], where
+
+    def low_rank_partial_transpose(self, block, support=None):
+        """(S, M) with rho^{T_block} = M on S x S + noise_weight/total * I,
+        for S of transpose_support(block).
+
+        `support` is what transpose_support(block) returned on these
+        tables, if the caller kept it.  With a points axis M is a stack
+        of P blocks, (P, |S|, |S|), on one S and one scatter index, and
+        the PPT step's 48 |S|^2 bytes a point are checked for all P
+        before M is built.
+        """
+        support, where = self.transpose_support(block) if support is None else support
+        size = len(support)
+        if self.points is not None:
+            _check_dense_bytes(
+                48 * size ** 2 * self.points,
+                f"the partial transposes at {self.points} points on the support, "
+                f"|S| = {size} indices, with their spectra")
+        mat = np.zeros(self.lead + (size, size), dtype=complex)
+        mat[..., where, where.T] = self._low_rank()
+        return support, mat
 
     def _low_rank(self):
-        """L = sum_t w_t |psi_t><psi_t| on the support, s x s."""
-        return self._weighted[:, :-1].T @ self._amps[:, :-1].conj()
+        """L = sum_t w_t |psi_t><psi_t| on the support, s x s (a stack of
+        P with a points axis)."""
+        return np.moveaxis(self._weighted[..., :-1], 0, -1) @ self._amps[:, :-1].conj()
 
     def _dense_matrix(self):
         total = self.shape.total
@@ -256,6 +357,20 @@ class MixtureProvider(ElementProvider):
         mat[np.ix_(keys, keys)] = self._low_rank()
         mat[np.diag_indices(total)] += self.noise_weight / total
         return mat
+
+
+def _term_sum(terms):
+    """Sum over the leading term axis, in term order, so that each point
+    of a batch gets the float it gets alone.  NumPy reduces the term axis
+    of a single state's (terms, N) table the same way from zero, which
+    differs from this only in the sign of a zero: the callers add 0.0 or
+    the noise next, which makes every zero +0.0."""
+    if not len(terms):
+        return np.zeros(terms.shape[1:], dtype=terms.dtype)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def _checked_weights(weights, noise_weight):
@@ -294,14 +409,17 @@ def _encode(shape, multi_indices):
 class FlippedProvider(ElementProvider):
     """View of a provider with every label flipped, j -> d_i-1-j on site i.
 
-    On flat indices the flip is x -> total-1-x.
+    On flat indices the flip is x -> total-1-x.  A points axis of the
+    inner provider passes through.
     """
 
     def __init__(self, inner):
         self.shape = inner.shape
+        self.points = inner.points
         self._inner = inner
 
     def element(self, bra, ket):
+        single_state(self, "element")
         return complex(self.elements(self.shape.encode(bra), self.shape.encode(ket)))
 
     def _flip(self, flat):
@@ -312,6 +430,13 @@ class FlippedProvider(ElementProvider):
 
     def diagonal(self, flat):
         return self._inner.diagonal(self._flip(flat))
+
+
+def single_state(prov, what):
+    """DomainError if prov holds a batch of points (see
+    MixtureProvider.reweighted): `what` reads a single state."""
+    if prov.points is not None:
+        raise DomainError(f"{what} reads a single state, not a batch of {prov.points} points")
 
 
 def as_provider(state):
@@ -351,12 +476,17 @@ def dicke_amplitudes(n, m, d=2):
     if d < 2:
         raise DomainError(f"local dimension must be >= 2, got {d}")
     norm = 1 / sqrt(comb(n, m) * (d - 1))
-    amps = {}
+    count = comb(n, m)
+    # one row per m-subset alpha, in the order of combinations(range(n), m)
+    alpha = np.fromiter(chain.from_iterable(combinations(range(n), m)), dtype=np.intp,
+                        count=count * m).reshape(count, m)
+    excited = np.zeros((count, n), dtype=np.intp)
+    excited[np.arange(count)[:, None], alpha] = 1
+    keys = []
     for j in range(d - 1):
-        for alpha in combinations(range(n), m):
-            mi = tuple(j + 1 if s in alpha else j for s in range(n))
-            amps[mi] = norm
-    return amps
+        # the multi-indices as tuples of Python ints, level j on the rest
+        keys += zip(*(excited + j).T.tolist())
+    return dict.fromkeys(keys, norm)
 
 
 def ghz_state(n, d=2):

@@ -13,7 +13,9 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -29,6 +31,15 @@ STATE_TOL = 1e-9
 _DENSE_BYTES = 1 << 31
 
 _INT64_MAX = 2 ** 63 - 1
+
+# Bytes that parsing a density-matrix file and building its matrix hold
+# at their peak, per byte of the file, at most for the layout
+# save_density_matrix writes: the parsed lists of numbers (about 12 a
+# byte for numbers of three characters) and, when most entries are "0"
+# (2 bytes with the comma, 4 D^2 in all), the lists, the real and
+# imaginary arrays and the complex matrix.  DensityMatrix then counts
+# its own validation.
+_LOAD_BYTES_PER_FILE_BYTE = 12
 
 
 @dataclass(frozen=True)
@@ -48,7 +59,8 @@ class SystemShape:
     def n(self):
         return len(self.dims)
 
-    @property
+    # cached: the criteria's kernels read it at every batch of queries
+    @cached_property
     def total(self):
         return prod(self.dims)
 
@@ -60,7 +72,7 @@ class SystemShape:
             raise DomainError(f"mixed local dimensions {self.dims}")
         return d
 
-    @property
+    @cached_property
     def index_dtype(self):
         """Array dtype of flat indices: int64 while the total dimension fits
         in it, else object (exact Python ints), so huge shapes never
@@ -306,11 +318,12 @@ def partial_transpose(rho, block):
 
 
 def hermitian_spectrum(mat, tol=STATE_TOL):
-    """Ascending real eigenvalues of a Hermitian matrix."""
+    """Ascending real eigenvalues of a Hermitian matrix, or of each in a
+    stack of them, shape (..., m, m)."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DomainError("spectrum needs a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > tol:
         raise DomainError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(mat)
 
@@ -386,12 +399,28 @@ def save_density_matrix(rho, path):
 
 
 def load_density_matrix(path, validate=True):
-    """Read the JSON density-matrix format and validate state invariants."""
+    """Read the JSON density-matrix format and validate state invariants.
+
+    What parsing and building the matrix hold, _LOAD_BYTES_PER_FILE_BYTE
+    times the file's size, is checked against the dense budget before
+    the file is read (ResourceError above it).
+    """
     with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        _check_dense_bytes(_LOAD_BYTES_PER_FILE_BYTE * size,
+                           f"loading the {size}-byte density-matrix file {path!r}")
         data = json.load(fh)
     for key in ("dims", "re", "im"):
         if key not in data:
             raise DomainError(f"density-matrix file is missing '{key}'")
     shape = SystemShape(data["dims"])
-    mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    # each parsed list is dropped once it is an array, and the arrays once
+    # they are the matrix (re + 1j im, summed in place), before
+    # DensityMatrix counts what it holds
+    re = np.asarray(data.pop("re"), dtype=float)
+    im = np.asarray(data.pop("im"), dtype=float)
+    mat = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    np.multiply(im, 1j, out=mat)
+    mat += re
+    del re, im
     return DensityMatrix(shape, mat, validate=validate)

@@ -251,6 +251,25 @@ class TestExitCodes:
         monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["crit", "--crit", "gme", "--probe", "000,111"],
+        ["measure", "--measure", "cgme-bound", "--probe", "000,111"],
+    ])
+    def test_loading_counts_the_file_before_parsing_it(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        # an oversized file exits 3 before json.load, not in a MemoryError
+        path = tmp_path / "ghz.json"
+        assert main(["state", "--kind", "ghz", "--n", "3", "--out", str(path)]) == 0
+        need = tensor._LOAD_BYTES_PER_FILE_BYTE * path.stat().st_size
+        argv = [*command, "--in", str(path)]
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"density-matrix file {str(path)!r} needs {need} bytes" in captured.err
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+        assert main(argv) == 0
+
     def test_ppt_beyond_the_dense_cap(self, capsys):
         # D = 4^8 = 65536, a 64 GiB dense matrix, but the support has 4 indices
         code, out = run_cli(capsys, "crit", "--crit", "ppt", "--family", "ghz-iso",

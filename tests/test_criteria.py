@@ -32,6 +32,7 @@ from multisep import (
     w_state,
 )
 from multisep.sampling import random_density_matrix, random_product_pure
+from multisep.criteria import point_bytes
 from multisep.states import FlippedProvider, MixtureProvider, bell_state, dicke_amplitudes
 from multisep import tensor
 from multisep.tensor import StateVector
@@ -574,3 +575,63 @@ class TestBestProbe:
         assert data["name"] == "gme"
         assert data["violated"] is True
         assert data["probe"] == [[0, 0, 0], [1, 1, 1]]
+
+
+class TestPointBatches:
+    """Criteria on a provider with a points axis (MixtureProvider.reweighted)."""
+
+    def test_single_state_criteria_refuse_a_batch(self):
+        prov = family_state("ghz-iso", n=2, alpha=0.5, representation="provider")
+        batch = prov.reweighted([[0.5], [0.9]], [0.5, 0.1])
+        for evaluate in (lambda s: mlinear_value(s, [(0, 0), (1, 1)]),
+                         lambda s: rank_m_determinant(s, [(0, 0), (1, 1)]),
+                         best_computational_probe):
+            evaluate(prov)
+            with pytest.raises(DomainError, match="single state, not a batch of 2 points"):
+                evaluate(batch)
+
+    def test_ppt_plans_its_support_once_per_sweep(self, monkeypatch):
+        built = []
+        support = MixtureProvider.transpose_support
+
+        def counting(self, block):
+            built.append(tuple(block))
+            return support(self, block)
+
+        monkeypatch.setattr(MixtureProvider, "transpose_support", counting)
+        prov = family_state("dicke-iso", n=6, m=3, p=0.5, representation="provider")
+        values = [0.1, 0.4, 0.7]
+        swept = prov.reweighted([[p] for p in values], [1 - p for p in values])
+        reports = ppt_check(swept, [2, 0])
+        assert [r.params for r in reports] == [{"block": [0, 2]}] * 3
+        for p, report in zip(values, reports):
+            swept = swept.reweighted([p], 1 - p)
+            assert ppt_check(swept, [0, 2]).value == report.value
+            alone = family_state("dicke-iso", n=6, m=3, p=p, representation="provider")
+            assert ppt_check(alone, [0, 2]).value == report.value
+        # one S for the sweep, and one for each provider without a plan store
+        assert built == [(0, 2)] * 4
+
+    def test_ppt_counts_its_bytes_for_every_point(self, monkeypatch):
+        # 20 off-block times 2 block patterns: |S| = 40, 48 |S|^2 bytes a point
+        prov = family_state("dicke-iso", n=6, m=3, p=0.5, representation="provider")
+        batch = prov.reweighted([[0.5]] * 3, [0.5] * 3)
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 3 * 48 * 40 ** 2 - 1)
+        with pytest.raises(ResourceError, match="at 3 points on the support, \\|S\\| = 40"):
+            ppt_check(batch, [0])
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", 3 * 48 * 40 ** 2)
+        assert len(ppt_check(batch, [0])) == 3
+
+    @pytest.mark.parametrize("block", [None, [0], [0, 1]])
+    def test_point_bytes_bound_the_tables_and_the_support(self, block):
+        prov = family_state("dicke-iso", n=8, m=4, p=0.5, representation="provider")
+        tables = 71 * (16 + 8)
+        got = point_bytes(prov, block)
+        if block is None:
+            assert got == tables + 80 * (1 << 12)
+        else:
+            # |S| = 140 for block [0]; for [0, 1] at most min(70, 2^6) * 2^2
+            size = 70 * 2 if block == [0] else 64 * 4
+            assert got == tables + 48 * size ** 2
+            support, _ = prov.transpose_support(block)
+            assert len(support) <= size

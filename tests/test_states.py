@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -25,6 +26,7 @@ from multisep import (
     w_state,
 )
 from multisep.states import (
+    FlippedProvider,
     MixtureProvider,
     dicke_amplitudes,
     family_weights,
@@ -300,7 +302,7 @@ class TestReweighted:
             assert all(a is b for (_, a), (_, b) in zip(prov.terms, base.terms))
             assert prov.terms == fresh.terms and prov.noise_weight == fresh.noise_weight
             assert np.array_equal(prov._weighted, fresh._weighted)
-            assert np.array_equal(prov._support_diag, fresh._support_diag)
+            assert np.array_equal(prov._diag, fresh._diag)
             assert prov.plans is not None and base.plans is None
         flat = np.arange(prov.shape.total)
         assert np.array_equal(prov.elements(flat[:, None], flat[None, :]),
@@ -316,6 +318,61 @@ class TestReweighted:
         assert prov.plans is first.plans
         noise = prov.reweighted([0.0, 0.0], 1.0)
         assert len(noise._keys) == 1 and noise.diagonal([0, 7]).tolist() == [0.125, 0.125]
+
+    @pytest.mark.parametrize("family, kwargs, var, values", [
+        ("ghz-iso", dict(n=3, d=3), "alpha", (0.2, 0.7, 1.0)),
+        ("dicke-iso", dict(n=5, m=3), "p", (0.1, 0.9)),
+        ("gmd", dict(n=3, d=3, beta=0.25), "alpha", (0.5, 0.05, 0.75)),
+        ("ghz-w", dict(n=4, alpha=0.2), "beta", (0.0, 0.3, 0.8)),
+    ])
+    def test_a_batch_answers_each_point_as_alone(self, family, kwargs, var, values):
+        base = family_state(family, representation="provider", **kwargs, **{var: values[0]})
+        mixing = {k: v for k, v in kwargs.items() if k in ("alpha", "beta")}
+        weights, noise = zip(*(family_weights(family, n=kwargs["n"], **{**mixing, var: v})
+                               for v in values))
+        batch = base.reweighted(weights, noise)
+        assert batch.points == len(values) and base.points is None
+        flat = np.arange(batch.shape.total)
+        bra, ket = flat[:, None], flat[None, :]
+        for prov in (batch, FlippedProvider(batch)):
+            answers = prov.elements(bra, ket), prov.diagonal(flat), prov.elements(0, 3)
+            assert [a.shape[:1] for a in answers] == [(len(values),)] * 3
+            for p, (w, v) in enumerate(zip(weights, noise)):
+                alone = base.reweighted(w, v)
+                if isinstance(prov, FlippedProvider):
+                    alone = FlippedProvider(alone)
+                # the same floats, bit for bit
+                for got, want in zip(answers, (alone.elements(bra, ket), alone.diagonal(flat),
+                                               alone.elements(0, 3))):
+                    assert np.asarray(got[p]).tobytes() == np.asarray(want).tobytes()
+        assert batch.plans is not None and batch.reweighted(weights[0], noise[0]).plans \
+            is batch.plans
+
+    def test_a_batch_is_no_single_state(self):
+        prov = family_state("ghz-iso", n=2, alpha=0.5, representation="provider")
+        batch = prov.reweighted([[0.5], [0.25]], [0.5, 0.75])
+        for read in (lambda p: p.element((0, 0), (1, 1)), lambda p: p.to_dense()):
+            for view in (batch, FlippedProvider(batch)):
+                with pytest.raises(DomainError, match="a single state, not a batch of 2 points"):
+                    read(view)
+        # a batch of one point has its axis too
+        one = prov.reweighted([[0.5]], [0.5])
+        assert one.points == 1 and one.diagonal([0, 3]).shape == (1, 2)
+        with pytest.raises(DomainError, match="batch of 1 points"):
+            one.element((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("weights, noise, message", [
+        ([[0.5, 0.5]], [0.0, 0.5], "as many weight rows \\(1\\) as noise weights \\(2\\)"),
+        ([], [], "at least one"),
+        ([[0.5, 0.3], [0.5, 0.6]], [0.2, 0.2], "sum to"),
+        ([[0.5, 0.3], [1.0]], [0.2, 0.0], "1 weights given for a mixture of 2 terms"),
+        ([[0.5, 0.3, 0.0], [0.5, 0.3]], [0.2, 0.2], "3 weights given for a mixture of 2 terms"),
+        ([[0.5, 0.3], [0.5, NAN]], [0.2, 0.0], "mixture weight nan is negative or NaN"),
+    ])
+    def test_batch_weights_checked(self, weights, noise, message):
+        prov = family_state("gmd", n=3, alpha=0.2, beta=0.3, representation="provider")
+        with pytest.raises(DomainError, match=message):
+            prov.reweighted(weights, noise)
 
     @pytest.mark.parametrize("weights, noise, message", [
         ([-0.1, 0.5], 0.6, "mixture weight -0.1 is negative"),
@@ -374,3 +431,22 @@ class TestDickeAmplitudeMap:
             dicke_amplitudes(4, 0)
         with pytest.raises(DomainError):
             dicke_amplitudes(4, 4)
+
+    @staticmethod
+    def _comprehension(n, m, d):
+        """The map built one multi-index at a time, as it was before NumPy."""
+        norm = 1 / sqrt(comb(n, m) * (d - 1))
+        amps = {}
+        for j in range(d - 1):
+            for alpha in combinations(range(n), m):
+                amps[tuple(j + 1 if s in alpha else j for s in range(n))] = norm
+        return amps
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_map_as_the_comprehension(self, n, d):
+        for m in range(1, n):
+            amps = dicke_amplitudes(n, m, d)
+            # the same keys in the same order, with the same values
+            assert list(amps.items()) == list(self._comprehension(n, m, d).items())
+            assert all(type(label) is int for mi in amps for label in mi)

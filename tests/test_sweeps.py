@@ -1,21 +1,24 @@
-"""scan and threshold build the family once and reuse the criteria's
-query plans; their output must not change.
+"""scan and threshold build the family once, evaluate it in batches of
+points and reuse the criteria's query plans; their output must not
+change.
 
-Each point of a sweep reweights the provider of the point before
-(MixtureProvider.reweighted), which shares the support tables and a
-store of query plans.  The reference here is the plain evaluation: a
-fresh family_state provider per point, which has no plan store.
+Each batch of a sweep reweights the provider of the batch before to all
+of its points at once (MixtureProvider.reweighted with a points axis),
+which shares the support tables and a store of query plans.  The
+reference here is the plain evaluation: a fresh family_state provider
+per point, which has no points axis and no plan store.
 """
 
 import gc
 import json
+import random
 import weakref
 
 import pytest
 
 from multisep import ResourceError, cli, criteria
-from multisep.cli import main
-from multisep.states import MixtureProvider, family_state
+from multisep.cli import build_parser, main
+from multisep.states import MixtureProvider, family_state, family_weights
 
 FAMILIES = {
     "ghz-iso": ["--family", "ghz-iso", "--n", "3"],
@@ -66,16 +69,20 @@ def _cases():
                             "--probe", "01,10"], id=f"{family}-bipartite")
 
 
-def _per_point_builder(args):
-    """The sweep without reweighting or plans: a fresh provider per point."""
+def _per_point_sweep(args):
+    """The sweep without batches, reweighting or plans: a fresh provider
+    per point."""
     var = args.var or cli._FAMILY_VARS[args.family][0]
+    evaluate = cli._criterion(args)
 
-    def build(value):
-        weights = {"alpha": args.alpha, "beta": args.beta, "p": args.p, var: value}
-        return family_state(args.family, representation="provider", n=args.n, d=args.d,
-                            m=args.m, **weights)
+    def reports(values):
+        return [evaluate(family_state(args.family, representation="provider", n=args.n,
+                                      d=args.d, m=args.m, **{"alpha": args.alpha,
+                                                             "beta": args.beta, "p": args.p,
+                                                             var: value}))
+                for value in values]
 
-    return build, var
+    return reports, var
 
 
 def _outcome(capsys, argv):
@@ -87,7 +94,7 @@ def _outcome(capsys, argv):
 def _same_as_per_point(capsys, monkeypatch, argv):
     swept = _outcome(capsys, argv)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_family_builder", _per_point_builder)
+        patch.setattr(cli, "_family_sweep", _per_point_sweep)
         fresh = _outcome(capsys, argv)
     assert swept == fresh
     return swept
@@ -243,3 +250,93 @@ class TestSweptVariable:
             "--crit", "fw-w3", "--lo", "0", "--hi", "0.9"])
         assert code == 0
         assert json.loads(out)["var"] == "beta"
+
+
+def _sweep_parts(argv):
+    """(weights, base provider, evaluate) of a _cases() command line:
+    weights(v) is the family's (term weights, noise weight) at v."""
+    args = build_parser().parse_args(["scan", *argv, "--start", "0", "--stop", "0", "--step", "1"])
+    var = args.var or cli._FAMILY_VARS[args.family][0]
+
+    def point(value):
+        return {"alpha": args.alpha, "beta": args.beta, "p": args.p, var: value}
+
+    def weights(value):
+        return family_weights(args.family, n=args.n, **point(value))
+
+    base = family_state(args.family, representation="provider", n=args.n, d=args.d, m=args.m,
+                        **point(0.5))
+    return weights, base, cli._criterion(args)
+
+
+@pytest.mark.parametrize("argv", _cases())
+def test_a_point_gets_the_same_float_in_any_batch(argv):
+    weights, base, evaluate = _sweep_parts(argv)
+    rng = random.Random(" ".join(argv))
+    grid = [rng.uniform(0.01, 0.8) for _ in range(13)]
+    alone = [evaluate(base.reweighted(*weights(v))) for v in grid]
+    alone = [(r.value, r.violated, r.params) for r in alone]
+    # a batch of one point is the single state with a points axis
+    ones = [evaluate(base.reweighted(*zip(weights(v)))) for v in grid]
+    assert all(len(reports) == 1 for reports in ones)
+    assert [(r.value, r.violated, r.params) for r, in ones] == alone
+    for _ in range(3):
+        cuts = [0, *sorted(rng.sample(range(1, len(grid)), rng.randint(1, 4))), len(grid)]
+        batched = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            batch = base.reweighted(*zip(*map(weights, grid[lo:hi])))
+            assert batch.points == hi - lo
+            batched += [(r.value, r.violated, r.params) for r in evaluate(batch)]
+        assert batched == alone
+
+
+def _batch_sizes(monkeypatch, argv):
+    """Points in each reweighted batch of a main(argv) call; a copy with
+    no points axis is a single point."""
+    sizes = []
+    reweighted = MixtureProvider.reweighted
+
+    def counting(self, weights, noise_weight):
+        out = reweighted(self, weights, noise_weight)
+        sizes.append(out.points or 1)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MixtureProvider, "reweighted", counting)
+        assert main(argv) == 0
+    return sizes
+
+
+def test_batch_size_follows_the_byte_bound(capsys, monkeypatch):
+    ghz = ["scan", "--family", "ghz-iso", "--n", "4", "--d", "4", "--crit", "q0", "--f", "3",
+           "--start", "0.01", "--stop", "1", "--step", "0.01"]
+    assert _batch_sizes(monkeypatch, ghz) == [100]
+    # C(20, 10) support indices: a few points of tables a batch
+    dicke = ["scan", "--family", "dicke-iso", "--n", "20", "--m", "10", "--crit",
+             "ntuple-class", "--start", "0.05", "--stop", "1", "--step", "0.05"]
+    sizes = _batch_sizes(monkeypatch, dicke)
+    assert sum(sizes) == 20 and 1 < len(sizes) and max(sizes) < 20
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 100 + 20
+    # a threshold runs one-point batches
+    assert set(_batch_sizes(monkeypatch, ["threshold", *ghz[1:-6], "--lo", "0", "--hi", "1"])) \
+        == {1}
+
+
+def test_a_batch_ends_where_the_nonzero_terms_change(capsys, monkeypatch):
+    argv = ["scan", "--family", "gmd", "--n", "3", "--d", "3", "--beta", "0.2", "--crit", "ppt",
+            "--block", "1", "--start", "0", "--stop", "0.8", "--step", "0.1"]
+    assert _batch_sizes(monkeypatch, argv) == [1, 8]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("probe, message", [
+    ("0000,1111", "wrong length for 3 subsystems"),
+    ("000,111", "mixing weights (1.25,) outside the simplex"),
+])
+def test_a_grid_leaving_the_simplex_fails_as_one_point_at_a_time(capsys, monkeypatch, probe,
+                                                                message):
+    # the criterion's own error at the first point comes before the weights of a later one
+    argv = ["scan", "--family", "ghz-iso", "--n", "3", "--crit", "gme", "--probe", probe,
+            "--start", "0.5", "--stop", "1.5", "--step", "0.25"]
+    code, out, err = _same_as_per_point(capsys, monkeypatch, argv)
+    assert code == 2 and out == "" and message in err

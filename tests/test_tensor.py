@@ -211,6 +211,20 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_of_matrices(self, rng):
+        mats = rng.standard_normal((3, 2, 5, 5)) + 1j * rng.standard_normal((3, 2, 5, 5))
+        mats = mats + np.swapaxes(mats, -1, -2).conj()
+        spectra = hermitian_spectrum(mats)
+        assert spectra.shape == (3, 2, 5)
+        for i in range(3):
+            for j in range(2):
+                assert spectra[i, j].tobytes() == hermitian_spectrum(mats[i, j]).tobytes()
+        mats[2, 1, 0, 1] += 1e-3
+        with pytest.raises(DomainError, match="not Hermitian"):
+            hermitian_spectrum(mats)
+        with pytest.raises(DomainError, match="square"):
+            hermitian_spectrum(np.zeros((2, 3, 4)))
+
 
 class TestFlip:
     def test_basis_flip(self):
@@ -360,6 +374,19 @@ class TestJsonFormat:
         }))
         with pytest.raises(DomainError):
             load_density_matrix(path)
+
+    def test_file_size_checked_before_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "ghz.json"
+        save_density_matrix(vec_to_dm(ghz_state(3)), path)
+        need = tensor._LOAD_BYTES_PER_FILE_BYTE * path.stat().st_size
+        parsed, parse = [], json.load
+        monkeypatch.setattr(json, "load", lambda fh: parsed.append(1) or parse(fh))
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+        with pytest.raises(ResourceError, match=f"file .* needs {need} bytes, over the budget"):
+            load_density_matrix(path)
+        assert not parsed
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+        assert load_density_matrix(path).shape.dims == (2, 2, 2) and parsed
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "short.json"
