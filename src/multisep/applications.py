@@ -20,8 +20,8 @@ import numpy as np
 from .criteria import CriterionReport, DEFAULT_TOL, _report
 from .errors import DomainError
 from .partitions import stirling2
-from .states import ghz_amplitudes
-from .tensor import DensityMatrix, kron_all, qubits
+from .states import basis_product_state, ghz_state
+from .tensor import kron_all, vec_to_dm
 
 # sigma_0..sigma_3 with sigma_2 = i|0><1| - i|1><0|, the transpose of the
 # textbook sigma_y; this sign choice keeps the verification expansions in
@@ -117,19 +117,6 @@ class QssRound:
     alice_state: str                  # label reconstructed by Bob + Charlie
 
 
-def _ghz3_dm():
-    vec = np.zeros(8, dtype=complex)
-    for mi, amp in ghz_amplitudes(3, 2).items():
-        vec[mi[0] * 4 + mi[1] * 2 + mi[2]] = amp
-    return DensityMatrix(qubits(3), np.outer(vec, vec.conj()), validate=False)
-
-
-def _product_dm():
-    vec = np.zeros(8, dtype=complex)
-    vec[0] = 1.0
-    return DensityMatrix(qubits(3), np.outer(vec, vec.conj()), validate=False)
-
-
 def _identify_state(amplitudes):
     """Match a single-qubit vector to one of x±, y± up to a global phase."""
     norm = np.linalg.norm(amplitudes)
@@ -149,8 +136,7 @@ def qss_table():
     and identifying Alice's conditional pure state.  Symmetric under
     Bob <-> Charlie.
     """
-    ghz = np.zeros((2, 2, 2), dtype=complex)
-    ghz[0, 0, 0] = ghz[1, 1, 1] = 1 / sqrt(2)
+    ghz = ghz_state(3).amp.reshape(2, 2, 2)
     table = {}
     for bob, bvec in _BASIS_VECTORS.items():
         for charlie, cvec in _BASIS_VECTORS.items():
@@ -169,10 +155,12 @@ class QssSimulator:
     |000>, which breaks the reconstruction correlations and makes the
     verification inequality unviolated.
 
-    The construction tabulates, for each of the eight basis triples, the
-    CDF of its eight outcomes (the cumulative sum divided by its last
-    entry, as `Generator.choice` builds it) together with each outcome's
-    reconstructed Alice state, sifting flag and key match.  A round draws
+    The construction takes the probability <v|rho|v> of every outcome's
+    product vector v in one array pass and tabulates, for each of the
+    eight basis triples, the CDF of its eight outcomes (the cumulative
+    sum divided by its last entry, as `Generator.choice` builds it)
+    together with each outcome's reconstructed Alice state, sifting flag
+    and key match.  A round draws
     `rng.integers(0, 8)` for the bases and one `rng.random()` looked up in
     that CDF with the rule of `searchsorted(side="right")`, which is what
     `rng.choice(8, p=probs)` draws, so every seed gives the same rounds.
@@ -188,31 +176,29 @@ class QssSimulator:
 
     def __init__(self, eavesdrop=False):
         self.eavesdrop = bool(eavesdrop)
-        self.resource = _product_dm() if eavesdrop else _ghz3_dm()
+        self.resource = vec_to_dm(basis_product_state((0, 0, 0)) if eavesdrop else ghz_state(3))
         table = qss_table()
         self._bases = [tuple(b) for b in product("xy", repeat=3)]
         self._combos, self._alice = [], []
-        cdfs, sifted_rows, match_rows = [], [], []
+        sifted_rows, match_rows = [], []
         for bases in self._bases:
             combos = [tuple(b + s for b, s in zip(bases, signs))
                       for signs in product("+-", repeat=3)]
-            probs = []
-            for combo in combos:
-                proj = kron_all([np.outer(_BASIS_VECTORS[c], _BASIS_VECTORS[c].conj())
-                                 for c in combo])
-                probs.append(max(np.trace(self.resource.mat @ proj).real, 0.0))
-            probs = np.array(probs)
-            cdf = (probs / probs.sum()).cumsum()
-            cdf /= cdf[-1]
             alice = [table[(c[1], c[2])] for c in combos]
             sifted = [bases[0] == a[0] for a in alice]
             self._combos.append(combos)
             self._alice.append(alice)
-            cdfs.append(cdf)
             sifted_rows.append(sifted)
             match_rows.append([f and c[0] == a for f, c, a in zip(sifted, combos, alice)])
+        # <v|rho|v> of each outcome's product vector v, all 64 in one pass
+        a, b, c = np.array([[_BASIS_VECTORS[x] for x in combo]
+                            for combos in self._combos for combo in combos]).transpose(1, 0, 2)
+        vecs = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(-1, 8)
+        probs = np.maximum(((vecs.conj() @ self.resource.mat) * vecs).sum(axis=1).real, 0.0)
+        probs = probs.reshape(len(self._bases), -1)
+        cdfs = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
         # (basis triple, outcome) tables
-        self._cdfs = np.array(cdfs)
+        self._cdfs = cdfs / cdfs[:, -1:]
         self._sifted = np.array(sifted_rows)
         self._matches = np.array(match_rows)
 

@@ -347,14 +347,10 @@ def _probe_batches(shape, a, b, k, cap):
     a_g b_rest sits at flat(b) + s_g and b_g a_rest at flat(a) - s_g.
     The probes are checked against the shape here, so once per plan.
     """
-    for mi in (*a, *b):
-        shape.validate_index(mi)
+    flat_a, flat_b = shape.encode_rows(a), shape.encode_rows(b)
     n = shape.n
     w = shape.place_values()
-    a = np.asarray(a, dtype=w.dtype).reshape(-1, n)
-    b = np.asarray(b, dtype=w.dtype).reshape(-1, n)
-    flat_a, flat_b = (a * w).sum(axis=1), (b * w).sum(axis=1)
-    steps = (a - b) * w
+    steps = (np.asarray(a, dtype=w.dtype) - np.asarray(b, dtype=w.dtype)).reshape(-1, n) * w
     if k == 2:
         partition_count(n, 2, cap)
         # The bipartition {g, rest} with site 0 in rest is the non-empty

@@ -145,12 +145,6 @@ class HeisenbergParams:
         return cls(1.0, 1.0 - gamma, 1.0 - 2.0 * gamma, h)
 
 
-def _site_bits(x, n):
-    """bits[r, i]: the bit of site i in basis state x[r], site 0 the most
-    significant as in kron order."""
-    return (x[:, None] >> (n - 1 - np.arange(n))) & 1
-
-
 def heisenberg_hamiltonian(lattice, params, indices=None):
     """Spin-1/2 Hamiltonian
     H = 1/2 sum_<ij> (Jx XX + Jy YY + Jz ZZ) + h sum_i Z_i, as float64:
@@ -179,7 +173,7 @@ def heisenberg_hamiltonian(lattice, params, indices=None):
                        f"the {dim} x {dim} Hamiltonian of {n} sites")
     if indices is None:
         x = np.arange(dim)
-    z = 1.0 - 2.0 * _site_bits(x, n)
+    z = 1.0 - 2.0 * qubits(n).decode_rows(x)
     zz = z[:, edges[:, 0]] * z[:, edges[:, 1]]  # [r, e]: z_i z_j of edge e in state x[r]
     h_mat = np.zeros((dim, dim))
     diag = np.zeros(dim)
@@ -277,7 +271,7 @@ class SpinHamiltonian:
                 8 * squares + 32 * largest ** 2 + 8 * 2 ** n * (n + 10 * len(self.lattice.edges)),
                 f"the largest conserved sector of H ({largest} states) with the "
                 "eigenvectors of every sector")
-            label = _site_bits(np.arange(2 ** n), n).sum(axis=1)
+            label = qubits(n).decode_rows(np.arange(2 ** n)).sum(axis=1)
             if not magnetisation:
                 label &= 1
             sectors = []

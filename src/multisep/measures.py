@@ -70,7 +70,7 @@ def cgme_pure(psi):
     dims = np.array(psi.shape.dims)
     total = psi.shape.total
     amp = psi.amp if psi.amp.imag.any() else psi.amp.real
-    digits = np.stack(np.unravel_index(np.arange(total), psi.shape.dims), axis=1).astype(float)
+    digits = psi.shape.decode_rows(np.arange(total)).astype(float)
     purity = 0.0
     for rows in k_partition_rows(n, 2, rows=max(1, _CUT_BYTES // (32 * total))):
         (weight_a, dim_a), (weight_b, dim_b) = (_place_values(rows == side, dims)

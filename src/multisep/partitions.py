@@ -12,8 +12,6 @@ k_partition_rows per orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -64,20 +62,15 @@ def _check_nk(n, k):
 
 
 def stirling2(n, k):
-    """Number of k-partitions of an n-element set, exactly.
-
-    Evaluates the alternating-sign sum
-        S(n,k) = sum_{i=1}^{k} (-1)^(k-i) i^(n-1) / ((i-1)! (k-i)!)
-    with exact rational arithmetic; intermediate terms overflow 64-bit
-    integers near n = 25, hence Fraction.
-    """
+    """Number of k-partitions of an n-element set, exactly: the recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) in Python integers, one row per m."""
     n, k = _check_nk(n, k)
-    total = Fraction(0)
-    for i in range(1, k + 1):
-        total += Fraction((-1) ** (k - i) * i ** (n - 1), factorial(i - 1) * factorial(k - i))
-    if total.denominator != 1:
-        raise AssertionError(f"stirling2({n},{k}) did not reduce to an integer: {total}")
-    return int(total)
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 def bell_number(n):
@@ -104,7 +97,7 @@ def iter_k_partitions(n, k, cap=DEFAULT_ENUMERATION_CAP):
 
 def partition_count(n, k, cap=DEFAULT_ENUMERATION_CAP):
     """S(n,k), or ResourceError (carrying the count) if it exceeds the cap."""
-    count = 2 ** (n - 1) - 1 if k == 2 else stirling2(n, k)
+    count = stirling2(n, k)
     if cap is not None and count > cap:
         raise ResourceError(
             f"enumeration of {count} {k}-partitions of {n} labels exceeds the cap {cap}"

@@ -9,7 +9,9 @@ beyond).  Every family here is of the form
     rho = sum_t w_t |psi_t><psi_t| + w_noise * I / total
 
 with sparse pure-state amplitude maps psi_t, which is exactly what the
-provider evaluates.
+provider evaluates.  The maps are keyed by multi-indices and the tables
+by flat indices; the state's SystemShape holds the layout and converts
+between the two (SystemShape.encode_rows / decode_rows).
 
 A sweep over the mixing weights builds the family once:
 MixtureProvider.reweighted gives the same mixture at new weights,
@@ -151,7 +153,9 @@ class MixtureProvider(ElementProvider):
         self.terms = []
         self._flats = []
         for weight, (_, amps) in zip(weights, terms):
-            flat, keys = _encode(shape, list(amps))
+            flat = shape.encode_rows(list(amps))
+            # the map's multi-indices as tuples of Python ints
+            keys = map(tuple, shape.decode_rows(flat).tolist())
             values = [complex(v) for v in amps.values()]
             self.terms.append((weight, dict(zip(keys, values))))
             self._flats.append((flat, values))
@@ -304,9 +308,8 @@ class MixtureProvider(ElementProvider):
         """
         block = _check_block(block, self.shape.n)
         keys = self._keys[:-1]
-        place = self.shape.place_values()[block]
-        dims = np.array(self.shape.dims, dtype=self.shape.index_dtype)[block]
-        in_block = ((keys[:, None] // place) % dims * place).sum(axis=1)
+        in_block = (self.shape.decode_rows(keys)[:, block]
+                    * self.shape.place_values()[block]).sum(axis=1)
         off, off_of = np.unique(keys - in_block, return_inverse=True)
         on, on_of = np.unique(in_block, return_inverse=True)
         size = len(off) * len(on)
@@ -390,22 +393,6 @@ def _checked_weights(weights, noise_weight):
     return weights, noise_weight
 
 
-def _encode(shape, multi_indices):
-    """(flat indices as an array of shape.index_dtype, multi-indices as
-    tuples of ints) of a list of multi-indices, checked as
-    shape.validate_index checks them, in array operations."""
-    try:
-        labels = np.array(multi_indices, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        labels = None
-    if (labels is None or labels.shape != (len(multi_indices), shape.n)
-            or not ((labels >= 0) & (labels < np.array(shape.dims))).all()):
-        # one index at a time, so that the error names the first bad one
-        labels = np.array([shape.validate_index(mi) for mi in multi_indices],
-                          dtype=np.int64).reshape(len(multi_indices), shape.n)
-    return (labels * shape.place_values()).sum(axis=1), list(map(tuple, labels.tolist()))
-
-
 class FlippedProvider(ElementProvider):
     """View of a provider with every label flipped, j -> d_i-1-j on site i.
 
@@ -451,8 +438,7 @@ def as_provider(state):
 def _vector_from_amplitudes(shape, amps):
     _check_dense_bytes(16 * shape.total, f"a state vector of dimension {shape.total}")
     vec = np.zeros(shape.total, dtype=complex)
-    for mi, a in amps.items():
-        vec[shape.encode(mi)] = a
+    vec[shape.encode_rows(list(amps))] = list(amps.values())
     return StateVector(shape, vec)
 
 

@@ -4,7 +4,9 @@ States live on a composite Hilbert space H = H_0 ⊗ H_1 ⊗ ... ⊗ H_{n-1}
 with per-subsystem dimensions d_i >= 2.  Computational-basis product
 vectors are addressed by multi-indices (i_0, ..., i_{n-1}); subsystem 0
 is the most significant digit of the flat index (big-endian), so e.g.
-(1, 0) on a 3x3 system encodes to 1*3 + 0 = 3.
+(1, 0) on a 3x3 system encodes to 1*3 + 0 = 3.  SystemShape holds this
+layout: encode / decode for one index, encode_rows / decode_rows for
+arrays of them, and every module converts through it.
 
 All operations are pure functions of their inputs; constructed objects
 are immutable and safe to share across threads.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -115,17 +117,46 @@ class SystemShape:
             x //= d
         return tuple(reversed(labels))
 
+    def encode_rows(self, labels):
+        """Flat indices, of index_dtype, of the rows of an (m, n) array
+        (or sequence) of multi-indices, checked as validate_index checks
+        them; a bad row raises validate_index's error for the first one."""
+        try:
+            rows = np.array(labels, dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            rows = None
+        if (rows is None or rows.shape != (len(labels), self.n)
+                or not ((rows >= 0) & (rows < np.array(self.dims))).all()):
+            # one row at a time, so that the error names the first bad one
+            rows = np.array([self.validate_index(mi) for mi in labels],
+                            dtype=np.int64).reshape(len(labels), self.n)
+        return (rows * self.place_values()).sum(axis=1)
+
+    def decode_rows(self, flat):
+        """Inverse of encode_rows: the (m, n) int64 labels of m flat indices."""
+        flat = np.asarray(flat, dtype=self.index_dtype).reshape(-1)
+        bad = (flat < 0) | (flat >= self.total)
+        if bad.any():
+            self.decode(flat[bad][0])  # raises decode's error for the first one
+        labels = flat[:, None] // self.place_values() % np.array(self.dims)
+        return labels.astype(np.int64, copy=False)
+
     def all_indices(self):
         """Iterate over every multi-index in encode order."""
         for x in range(self.total):
             yield self.decode(x)
 
 
+# Shapes are immutable, so each of these is built once and shared.
+# heisenberg_hamiltonian decodes through qubits(n) at every block build,
+# and a new shape there each time grows the peak RSS of a long run.
+@lru_cache
 def qubits(n):
     """Shape of n qubits."""
     return SystemShape((2,) * n)
 
 
+@lru_cache
 def qudits(n, d):
     """Shape of n d-level systems."""
     return SystemShape((d,) * n)
@@ -275,6 +306,11 @@ def partial_trace(rho, systems):
     if not systems:
         return rho
 
+    # each trace holds its result and the one before, the first and
+    # largest (D / d)^2 entries, d the first subsystem traced out
+    total = rho.shape.total
+    _check_dense_bytes(2 * 16 * (total // rho.shape.dims[systems[-1]]) ** 2,
+                       f"the partial trace of a dense {total} x {total} state")
     t = _as_tensor(rho)
     nn = n
     for s in reversed(systems):
@@ -309,11 +345,13 @@ def partial_transpose(rho, block):
     """
     n = rho.shape.n
     block = _check_block(block, n)
+    total = rho.shape.total
+    _check_dense_bytes(16 * total ** 2,
+                       f"the partial transpose of a dense {total} x {total} state")
     t = _as_tensor(rho)
     axes = list(range(2 * n))
     for s in block:
         axes[s], axes[s + n] = axes[s + n], axes[s]
-    total = rho.shape.total
     return t.transpose(axes).reshape(total, total)
 
 
@@ -328,28 +366,21 @@ def hermitian_spectrum(mat, tol=STATE_TOL):
     return np.linalg.eigvalsh(mat)
 
 
-def _flip_permutation(shape):
-    d = shape.uniform_dim
-    idx = np.array(
-        [shape.encode(tuple(d - 1 - x for x in shape.decode(i))) for i in range(shape.total)]
-    )
-    return idx
-
-
 def flip_all(state):
     """Generalised bit flip |j> -> |d-1-j> on every subsystem.
 
-    Requires a uniform local dimension; involutive.
+    Requires a uniform local dimension; involutive.  On flat indices the
+    flip is x -> total-1-x, so it reverses the amplitudes, or the rows
+    and columns of a density matrix, into a copy.
     """
-    perm = _flip_permutation(state.shape)
+    state.shape.uniform_dim  # DomainError for mixed local dimensions
+    total = state.shape.total
     if isinstance(state, StateVector):
-        out = np.empty_like(state.amp)
-        out[perm] = state.amp
-        return StateVector(state.shape, out, validate=False)
+        _check_dense_bytes(16 * total, f"the flip of a state vector of dimension {total}")
+        return StateVector(state.shape, state.amp[::-1].copy(), validate=False)
     if isinstance(state, DensityMatrix):
-        out = np.empty_like(state.mat)
-        out[np.ix_(perm, perm)] = state.mat
-        return DensityMatrix(state.shape, out, validate=False)
+        _check_dense_bytes(16 * total ** 2, f"the flip of a dense {total} x {total} state")
+        return DensityMatrix(state.shape, state.mat[::-1, ::-1].copy(), validate=False)
     raise DomainError(f"cannot flip a {type(state).__name__}")
 
 
@@ -360,6 +391,9 @@ def permute_systems(rho, order):
     order = [int(x) for x in order]
     if sorted(order) != list(range(n)):
         raise DomainError(f"{order} is not a permutation of 0..{n - 1}")
+    total = rho.shape.total
+    _check_dense_bytes(16 * total ** 2,
+                       f"the permuted subsystems of a dense {total} x {total} state")
     t = _as_tensor(rho)
     axes = order + [o + n for o in order]
     new_shape = SystemShape([rho.shape.dims[o] for o in order])
@@ -376,10 +410,15 @@ def apply_local_unitaries(rho, unitaries):
     """
     if len(unitaries) != rho.shape.n:
         raise DomainError("need one unitary per subsystem")
+    # U, U rho and the result, 48 D^2 bytes, and BLAS's workspace of a
+    # few MB: 64 D^2 bytes are counted
+    total = rho.shape.total
+    _check_dense_bytes(64 * total ** 2, f"local unitaries on a dense {total} x {total} state")
     u = kron_all(unitaries)
     if u.shape != (rho.shape.total, rho.shape.total):
         raise DomainError("local unitary dimensions do not match the state")
-    return DensityMatrix(rho.shape, u @ rho.mat @ u.conj().T, validate=False)
+    left = u @ rho.mat
+    return DensityMatrix(rho.shape, left @ np.conjugate(u, out=u).T, validate=False)
 
 
 def _fmt(x):

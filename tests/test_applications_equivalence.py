@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 from multisep import DomainError, EffectiveOpParams, QssSimulator, chsh_bound, qss_round
 from multisep import applications
 from multisep.applications import _BASIS_VECTORS, QssRound, qss_table
+from multisep.states import ghz_amplitudes
 from multisep.tensor import kron_all
 from multisep.unstable import ChshBounds, _check_settings, bloch_vector
 
@@ -280,6 +281,49 @@ def test_qss_run_across_chunk_edges(monkeypatch, eavesdrop, seed):
     sim, oracle = QssSimulator(eavesdrop), OracleQss(eavesdrop)
     for rounds in [*range(12), 1001]:
         assert sim.run(rounds, seed=seed) == oracle.run(rounds, seed=seed)
+
+
+def _hand_built_resource(eavesdrop):
+    """|psi><psi| as the simulator built it before it called vec_to_dm:
+    the GHZ amplitudes placed at big-endian indices by hand, or |000>."""
+    vec = np.zeros(8, dtype=complex)
+    if eavesdrop:
+        vec[0] = 1.0
+    else:
+        for mi, amp in ghz_amplitudes(3, 2).items():
+            vec[mi[0] * 4 + mi[1] * 2 + mi[2]] = amp
+    return np.outer(vec, vec.conj())
+
+
+def _projector_cdfs(mat):
+    """The outcome CDFs as built before the one-pass <v|rho|v>: one
+    kron_all projector and one trace per outcome."""
+    cdfs = []
+    for bases in product("xy", repeat=3):
+        probs = []
+        for signs in product("+-", repeat=3):
+            proj = kron_all([np.outer(_BASIS_VECTORS[b + s], _BASIS_VECTORS[b + s].conj())
+                             for b, s in zip(bases, signs)])
+            probs.append(max(np.trace(mat @ proj).real, 0.0))
+        probs = np.array(probs)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
+    return np.array(cdfs)
+
+
+@pytest.mark.parametrize("eavesdrop", [False, True])
+def test_qss_tables_equal_the_projector_loop(eavesdrop):
+    sim = QssSimulator(eavesdrop=eavesdrop)
+    hand_built = _hand_built_resource(eavesdrop)
+    # the oracle reads its resource from QssSimulator, so this pins it too
+    assert sim.resource.mat.tobytes() == hand_built.tobytes()
+    assert sim._cdfs.tobytes() == _projector_cdfs(hand_built).tobytes()
+    oracle = OracleQss(eavesdrop)
+    for bases, cdf in zip(oracle._bases, sim._cdfs):
+        want = oracle._outcomes[bases][1].cumsum()
+        want /= want[-1]
+        assert cdf.tobytes() == want.tobytes()
 
 
 def test_qss_run_rejects_negative_rounds():

@@ -689,11 +689,13 @@ def run_outcome(capsys, argv):
 
 class TestStartup:
     def test_importing_the_cli_leaves_scipy_unloaded(self):
+        # nor fractions, which would bring decimal and _decimal along
         code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-                "import multisep, multisep.cli; print('scipy' in sys.modules)")
+                "import multisep, multisep.cli; "
+                "print('scipy' in sys.modules, 'fractions' in sys.modules)")
         out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out == "False\n"
+        assert out == "False False\n"
 
     def test_unstable_leaves_scipy_unloaded(self):
         # chsh_bound needs NumPy alone; importing scipy.optimize would add

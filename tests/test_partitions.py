@@ -1,4 +1,5 @@
 import itertools
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from multisep import (
     stirling2,
     unique_k_partitions,
 )
-from multisep.partitions import k_partition_rows, orbit_representatives
+from multisep.partitions import k_partition_rows, orbit_representatives, partition_count
 
 
 def enumerate_partitions_reference(n):
@@ -51,6 +52,18 @@ class TestStirling:
             stirling2(3, 4)
         with pytest.raises(DomainError):
             stirling2(3, 0)
+
+    def test_explicit_sum(self):
+        # S(n,k) = sum_i (-1)^i C(k,i) (k-i)^n / k!, an independent closed form
+        for n in range(1, 40):
+            for k in range(1, n + 1):
+                total = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
+                assert stirling2(n, k) == total // factorial(k)
+                assert total % factorial(k) == 0
+
+    def test_partition_count_of_bipartitions(self):
+        for n in range(2, 40):
+            assert partition_count(n, 2, cap=None) == 2 ** (n - 1) - 1
 
     def test_recurrence(self):
         # S(n,k) = k S(n-1,k) + S(n-1,k-1), an independent identity

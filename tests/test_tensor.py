@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,58 @@ class TestMultiIndex:
             assert shape.encode(mi) == x
             seen.add(mi)
         assert len(seen) == shape.total
+
+
+class TestRowCodec:
+    """encode_rows / decode_rows against the one-index encode / decode."""
+
+    def test_round_trip_on_mixed_dims(self, rng):
+        shape = SystemShape((2, 3, 4))
+        labels = [shape.decode(x) for x in rng.permutation(shape.total)]
+        flat = shape.encode_rows(labels)
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [shape.encode(mi) for mi in labels]
+        rows = shape.decode_rows(flat)
+        assert rows.dtype == np.int64 and rows.shape == (shape.total, 3)
+        assert [tuple(r) for r in rows.tolist()] == labels
+        assert shape.encode_rows(rows).tolist() == flat.tolist()
+
+    def test_round_trip_on_an_object_dtype_shape(self, rng):
+        shape = qubits(64)  # 2^64 > int64: exact Python ints
+        labels = rng.integers(0, 2, size=(20, 64)).tolist() + [[1] * 64, [0] * 64]
+        flat = shape.encode_rows(labels)
+        assert flat.dtype == object
+        assert flat.tolist() == [shape.encode(mi) for mi in labels]
+        assert flat[-2] == 2 ** 64 - 1 and type(flat[-2]) is int
+        assert shape.decode_rows(flat).tolist() == labels
+        assert [tuple(r) for r in shape.decode_rows(flat).tolist()] == [
+            shape.decode(x) for x in flat]
+
+    @pytest.mark.parametrize("labels, first_bad", [
+        ([(0, 0, 0), (1, 3, 0), (2, 0, 0)], 1),
+        ([(1, 2, 3), (0, 0, -1)], 1),
+        ([(0, 0, 0), (0, 0), (9, 9, 9)], 1),
+        ([(0, 0, 0), (0, 0, 2 ** 70)], 1),
+        ([(0, 0, 4), (0, 0, 0)], 0),
+    ])
+    def test_a_bad_row_raises_for_the_first_one(self, labels, first_bad):
+        shape = SystemShape((2, 3, 4))
+        with pytest.raises(DomainError) as scalar:
+            shape.validate_index(labels[first_bad])
+        with pytest.raises(DomainError) as rows:
+            shape.encode_rows(labels)
+        assert str(rows.value) == str(scalar.value)
+        assert str(labels[first_bad]).replace(" ", "") in str(rows.value).replace(" ", "")
+
+    def test_decode_rows_range(self):
+        shape = SystemShape((2, 3, 4))
+        with pytest.raises(DomainError, match=re.escape("flat index 24 out of range [0, 24)")):
+            shape.decode_rows([0, 24, -1])
+
+    def test_no_rows(self):
+        shape = SystemShape((2, 3))
+        assert shape.encode_rows([]).shape == (0,)
+        assert shape.decode_rows([]).shape == (0, 2)
 
 
 class TestMatrixElement:
@@ -247,6 +300,20 @@ class TestFlip:
         with pytest.raises(DomainError):
             flip_all(psi)
 
+    def test_qutrits_equal_the_per_index_permutation(self, rng):
+        shape = SystemShape((3, 3, 3))
+        # each index's labels flipped one at a time through decode / encode
+        perm = np.array([shape.encode(tuple(2 - x for x in shape.decode(i)))
+                         for i in range(shape.total)])
+        psi = StateVector(shape, random_pure_state(27, rng))
+        want = np.empty_like(psi.amp)
+        want[perm] = psi.amp
+        assert flip_all(psi).amp.tobytes() == want.tobytes()
+        rho = vec_to_dm(psi)
+        want = np.empty_like(rho.mat)
+        want[np.ix_(perm, perm)] = rho.mat
+        assert flip_all(rho).mat.tobytes() == want.tobytes()
+
 
 class TestVecToDm:
     def test_basis(self):
@@ -323,6 +390,34 @@ class TestValidation:
         for step in steps:
             with pytest.raises(ResourceError, match="over the budget of 0 bytes"):
                 step()
+
+    @pytest.mark.parametrize("step, need", [
+        # each trace holds its result and the one before: 2 (D / d)^2
+        # entries, d the dimension of the first subsystem traced out,
+        # the highest label
+        (lambda rho: partial_trace(rho, [0, 2]), 2 * 16 * 6 ** 2),
+        (lambda rho: partial_trace(rho, [1]), 2 * 16 * 4 ** 2),
+        (lambda rho: partial_transpose(rho, [1]), 16 * 12 ** 2),
+        (lambda rho: permute_systems(rho, [2, 0, 1]), 16 * 12 ** 2),
+        (lambda rho: apply_local_unitaries(rho, [np.eye(2), np.eye(3), np.eye(2)]),
+         64 * 12 ** 2),
+    ])
+    def test_transforms_count_their_bytes(self, monkeypatch, step, need):
+        rho = maximally_mixed(SystemShape((2, 3, 2)))
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+        with pytest.raises(ResourceError, match=f"needs {need} bytes, over the budget"):
+            step(rho)
+        monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+        step(rho)
+
+    def test_flip_counts_its_bytes(self, monkeypatch):
+        psi = ghz_state(3, 3)
+        for state, need in ((psi, 16 * 27), (vec_to_dm(psi), 16 * 27 ** 2)):
+            monkeypatch.setattr(tensor, "_DENSE_BYTES", need - 1)
+            with pytest.raises(ResourceError, match=f"flip .* needs {need} bytes"):
+                flip_all(state)
+            monkeypatch.setattr(tensor, "_DENSE_BYTES", need)
+            flip_all(state)
 
     def test_unnormalised_vector_rejected(self):
         with pytest.raises(DomainError):
