@@ -436,13 +436,86 @@ def _ground_pairs(heff):
 
 def _chunk_len(sizes, restarts):
     """Partitions with these block sizes that fit one batch in
-    _CHUNK_BYTES: each block's Hamiltonian, and per restart its effective
-    Hamiltonians, the permuted adjacency and the Bloch vectors with their
-    Anderson history."""
+    _CHUNK_BYTES, counted per restart (per sweep row): the real block
+    Hamiltonians of its blocks of two or more sites, gathered once, the
+    complex effective Hamiltonian of its largest such block (one block is
+    updated at a time, and single sites need none), its block-upper
+    adjacency, and its Bloch vectors with their Anderson history.  Each
+    block's per-partition stack lives only while it is gathered, and is
+    no larger than that block's rows."""
     n = sum(sizes)
-    hams = 16 * sum(4 ** s for s in sizes)
-    per_row = hams + 8 * (n * n + 3 * n * (2 * _DEPTH + 6))
-    return max(1, _CHUNK_BYTES // (hams + restarts * per_row))
+    dims = [4 ** s for s in sizes if s > 1]
+    per_row = 8 * sum(dims) + 16 * max(dims, default=0) + 8 * (n * n + 3 * n * (2 * _DEPTH + 6))
+    return max(1, _CHUNK_BYTES // (restarts * per_row))
+
+
+class _BlockSweep:
+    """The sweep map G of _sweep_batch over the rows of one batch, with
+    every per-row operand gathered once: for each block of two or more
+    sites its Hamiltonian, and the block-upper adjacency upper[r, i, l],
+    1 on the edges (i, l) of row r's partition whose l lies in a later
+    block than i, in block-concatenated site order.  compact(keep) drops
+    the rows that stopped."""
+
+    def __init__(self, ham, rows, restarts):
+        sizes = np.bincount(rows[0]).tolist()
+        self.cuts = np.cumsum([0] + sizes).tolist()
+        self.coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
+        self.paulis = [_site_paulis(s) for s in sizes]
+        row_part = np.repeat(np.arange(len(rows)), restarts)
+        orders = np.argsort(rows, axis=1, kind="stable")
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        adj = ham.lattice.adjacency()
+        upper = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] < block_of)
+        self.upper = upper[row_part]
+        self.hams = [None if b - a == 1 else
+                     np.stack([ham.block(order[a:b]) for order in orders])[row_part]
+                     for a, b in zip(self.cuts[:-1], self.cuts[1:])]
+        # a single site's H_A = h Z enters its update as part of its field
+        self.shift = np.zeros((len(block_of), 3))
+        self.shift[np.array(sizes)[block_of] == 1, 2] = ham.params.h
+
+    def compact(self, keep):
+        self.upper = self.upper[keep]
+        self.hams = [None if h is None else h[keep] for h in self.hams]
+
+    def bloch_vectors(self, j, states):
+        """<sigma_a> on each site of block j in the block states `states`."""
+        rho = states.conj()[:, :, None] * states[:, None, :]
+        return (rho.reshape(len(states), -1) @ self.paulis[j].T).real.reshape(len(states), -1, 3)
+
+    def __call__(self, x):
+        """G(x), flattened per row, and the energy of its product state."""
+        m = len(x)
+        g = x.reshape(m, -1, 3).copy()
+        later = self.coupling * (self.upper @ g)  # the field of later blocks, from x
+        field = later + self.shift
+        energy = np.zeros(m)
+        for j, (a, b) in enumerate(zip(self.cuts[:-1], self.cuts[1:])):
+            if a:  # add the field of earlier blocks, already updated
+                f = field[:, a:b] + self.coupling * (
+                    self.upper[:, :a, a:b].transpose(0, 2, 1) @ g[:, :a])
+            else:
+                f = field[:, a:b]
+            if self.hams[j] is None:
+                # f holds h z too, so heff = f . sigma: ground energy -|f|,
+                # Bloch vector -f/|f|
+                f = f[:, 0]
+                norm = np.sqrt(np.einsum("ra,ra->r", f, f))
+                energy -= norm
+                g[:, a] = f / -np.where(norm > 0, norm, 1.0)[:, None]
+                g[norm == 0, a, 2] = 1.0  # where f = 0 eigh returns |0>, Bloch vector +z
+            else:
+                d = self.hams[j].shape[-1]
+                heff = (f.reshape(m, -1) @ self.paulis[j]).reshape(m, d, d)
+                heff += self.hams[j]
+                ground, vectors = _ground_pairs(heff)
+                energy += ground
+                g[:, a:b] = self.bloch_vectors(j, vectors)
+        # each inter-block edge once: the ground energies counted it with
+        # the later block's Bloch vector from x, the state holds G(x)'s
+        energy -= np.einsum("ria,ria->r", later, g)
+        return g.reshape(m, -1), energy
 
 
 def _sweep_batch(ham, rows, starts, tol, max_iter):
@@ -453,12 +526,23 @@ def _sweep_batch(ham, rows, starts, tol, max_iter):
     A product state enters block A's update only through its neighbours'
     Bloch vectors: A takes the ground vector of
     heff_A = H_A + sum_{i in A} f_i . sigma^i, where
-    f_i^a = J_a/2 sum_{l not in A, (i, l) an edge} <sigma_a^l>, and the
-    energy is sum_B <H_B> + 1/2 sum_{inter-block edges} sum_a J_a
-    <sigma_a^i><sigma_a^l>.  Bloch vectors are held in each partition's
-    block-concatenated site order (a stable argsort of its row), so
-    block j is a fixed slice and its field one matmul with the permuted
-    adjacency, whose within-block entries are zero.
+    f_i^a = J_a/2 sum_{l not in A, (i, l) an edge} <sigma_a^l>.  A single
+    site has H_A = h Z, so heff_A = b . sigma with b = f_i + h z: its
+    ground energy is -|b| and its Bloch vector -b/|b| (+z where b = 0,
+    the vector eigh returns there), with no eigensolve; a larger block
+    takes one batched eigh (_ground_pairs).  Bloch vectors are held in
+    each partition's block-concatenated site order (a stable argsort of
+    its row), so block j is a fixed slice.  Its field is that of the
+    later blocks, from x, computed for every site at once by one matmul
+    with the block-upper adjacency, plus that of the earlier blocks,
+    already updated.  The per-row block Hamiltonians and adjacency are
+    gathered once per batch (_BlockSweep) and compacted with the rows.
+
+    The energy of the product state is sum_B <H_B> + 1/2 sum_{inter-block
+    edges} sum_a J_a <sigma_a^i><sigma_a^l>.  It is read in one pass per
+    sweep: E = sum_j ground_j - sum_{i in B_j, l in B_j', j' > j}
+    J_a/2 <sigma_a^i>_new <sigma_a^l>_old, as ground_j counted each edge
+    to a later block with that block's Bloch vector from x.
 
     One sweep is a map G from Bloch vectors x to the Bloch vectors and
     energy of the product state it builds.  A row's first _DEPTH sweeps
@@ -478,41 +562,10 @@ def _sweep_batch(ham, rows, starts, tol, max_iter):
     all its restarts stopped within max_iter sweeps.  Stopped rows leave
     the batch, which is compacted.
     """
-    sizes = np.bincount(rows[0]).tolist()
-    cuts = np.cumsum([0] + sizes)
-    slices = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     restarts = starts[0].shape[1]
-    row_part = np.repeat(np.arange(len(rows)), restarts)
-    orders = np.argsort(rows, axis=1, kind="stable")
-    adj = ham.lattice.adjacency()
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
-    adj = adj[orders[:, :, None], orders[:, None, :]] * (block_of[:, None] != block_of)
-    adj = adj[row_part]
-    coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
-    block_hams = [np.stack([ham.block(order[sl]) for order in orders]) for sl in slices]
-    paulis = [_site_paulis(s) for s in sizes]
-
-    def bloch_vectors(j, states):
-        rho = states.conj()[:, :, None] * states[:, None, :]
-        return (rho.reshape(len(states), -1) @ paulis[j].T).real.reshape(len(states), -1, 3)
-
-    def sweep(x):
-        """G(x), flattened per row, and the energy of its product state."""
-        g = x.reshape(len(x), -1, 3).copy()
-        energy = np.zeros(len(x))
-        for j, sl in enumerate(slices):
-            field = coupling * (adj[:, sl] @ g)
-            d = block_hams[j].shape[-1]
-            heff = (field.reshape(len(x), -1) @ paulis[j]).reshape(len(x), d, d)
-            heff += block_hams[j][row_part]
-            ground, vectors = _ground_pairs(heff)
-            g[:, sl] = bloch_vectors(j, vectors)
-            energy += ground - np.sum(field * g[:, sl], axis=(1, 2))
-        energy += 0.5 * np.sum(coupling * (adj @ g) * g, axis=(1, 2))
-        return g.reshape(len(x), -1), energy
-
-    x = np.concatenate([bloch_vectors(j, s.reshape(-1, s.shape[-1]))
-                        for j, s in enumerate(starts)], axis=1).reshape(len(row_part), -1)
+    sweep = _BlockSweep(ham, rows, restarts)
+    x = np.concatenate([sweep.bloch_vectors(j, s.reshape(-1, s.shape[-1]))
+                        for j, s in enumerate(starts)], axis=1).reshape(len(rows) * restarts, -1)
     live = np.arange(len(x))  # the rows still sweeping
     final = np.full(len(x), np.inf)
     stopped = np.zeros(len(x), dtype=bool)
@@ -523,42 +576,47 @@ def _sweep_batch(ham, rows, starts, tol, max_iter):
     prev_res, prev_out = np.zeros_like(x), x
     follows = np.zeros(len(x), dtype=bool)  # the last sweep was accepted
     mixing = np.zeros(len(x), dtype=bool)  # x was extrapolated
+    eye = np.eye(_DEPTH)
     for it in range(max_iter):
         out, energy = sweep(x)
         res = out - x
         ok = ~mixing | (energy <= best)
         slot = it % _DEPTH
-        grow = (ok & follows)[:, None]
-        d_res[:, slot] = np.where(grow, res - prev_res, 0.0)
-        d_out[:, slot] = np.where(grow, out - prev_out, 0.0)
-        if not ok.all():
+        grow = ok & follows
+        d_res[:, slot] = np.where(grow[:, None], res - prev_res, 0.0)
+        d_out[:, slot] = np.where(grow[:, None], out - prev_out, 0.0)
+        if ok.all():
+            prev_res, prev_out = res, out
+        else:  # a rejected row clears its history and keeps its last accepted state
             d_res[~ok] = d_out[~ok] = 0.0
-        prev_res = np.where(ok[:, None], res, prev_res)
-        prev_out = np.where(ok[:, None], out, prev_out)
-        best = np.minimum(best, np.where(ok, energy, np.inf))
+            prev_res = np.where(ok[:, None], res, prev_res)
+            prev_out = np.where(ok[:, None], out, prev_out)
+            energy = np.where(ok, energy, np.inf)
+        best = np.minimum(best, energy)
         fell = recent[:, slot] - best
         recent[:, slot] = best
-        done = ok & ((np.max(np.abs(res), axis=1) <= tol) | (fell <= 0))
+        done = ok & ((np.abs(res).max(axis=1) <= tol) | (fell <= 0))
 
         # the next x: extrapolated where the last two sweeps were accepted
         # and the plain start is over, else the last accepted G(x)
-        mixing = grow[:, 0] & (it + 1 >= _DEPTH) & ~done
+        mixing = grow & (it + 1 >= _DEPTH) & ~done
         follows = ok
         x = prev_out.copy()
         if mixing.any():
             dr, do = d_res[mixing], d_out[mixing]
             gram = dr @ dr.transpose(0, 2, 1)
             reg = 1e-12 * np.trace(gram, axis1=1, axis2=2) + 1e-300
-            gram += reg[:, None, None] * np.eye(_DEPTH)
+            gram += reg[:, None, None] * eye
             gamma = np.linalg.solve(gram, dr @ prev_res[mixing][:, :, None])
             x[mixing] -= (gamma.transpose(0, 2, 1) @ do)[:, 0]
         if done.any():
             final[live[done]] = best[done]
             stopped[live[done]] = True
             keep = ~done
-            (x, live, best, recent, d_res, d_out, prev_res, prev_out, follows, mixing, adj,
-             row_part) = (a[keep] for a in (x, live, best, recent, d_res, d_out, prev_res,
-                                            prev_out, follows, mixing, adj, row_part))
+            (x, live, best, recent, d_res, d_out, prev_res, prev_out, follows, mixing) = (
+                a[keep] for a in (x, live, best, recent, d_res, d_out, prev_res, prev_out,
+                                  follows, mixing))
+            sweep.compact(keep)
             if not live.size:
                 break
     final[live] = best
@@ -582,12 +640,15 @@ def min_ksep_energy(ham, k, restarts=32, tol=1e-10, seed=0, max_iter=5000,
     gave an orbit |orbit| * restarts starts.  The search runs by sweeps
     of exact block ground-state updates, each block in the mean field of
     its neighbours' Bloch vectors, accelerated by Anderson mixing on
-    those Bloch vectors (see _sweep_batch).  An accelerated sweep that would
-    raise a restart's energy is rejected and replaced by a plain sweep,
-    which cannot, and the energy kept is the best accepted one, always
-    that of an actual product state.  Only block Hamiltonians are built,
-    never the 2^n x 2^n matrix, except for k = 1, the unconstrained
-    ground energy, read from ham.spectrum().
+    those Bloch vectors (see _sweep_batch).  A single site is updated in
+    closed form, the spin anti-aligned with its field, and a larger block
+    by a batched eigensolve; each sweep's energy is read in one pass from
+    the block ground energies and the fields of later blocks.  An
+    accelerated sweep that would raise a restart's energy is rejected and
+    replaced by a plain sweep, which cannot, and the energy kept is the
+    best accepted one, always that of an actual product state.  Only
+    block Hamiltonians are built, never the 2^n x 2^n matrix, except for
+    k = 1, the unconstrained ground energy, read from ham.spectrum().
 
     Partitions with the same ordered block sizes (every (4, 2)
     bipartition, say) are swept as one batch, all restarts together,

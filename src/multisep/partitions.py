@@ -20,6 +20,10 @@ from .errors import DomainError, ResourceError
 # Enumeration refuses to run past this many partitions unless overridden.
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
+# Rows orbit_representatives renumbers in one pass: the images of a
+# chunk of k_partition_rows under as many permutations as fit.
+_STACKED_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -157,19 +161,27 @@ def orbit_representatives(rows, symmetries):
     their images under the site permutations `symmetries`.
 
     Each image permutes the columns of a row by one permutation and
-    renumbers its blocks by first occurrence.  Rows are compared column
-    by column, never as integer keys, which would overflow for large k
-    and n.  Over a group the least row of an orbit is kept and no other;
-    for any set of permutations the least row of an orbit is no greater
-    than any of its images, so every orbit keeps at least one row.
+    renumbers its blocks by first occurrence.  The images under several
+    permutations are stacked and renumbered in one _relabelled pass, at
+    most _STACKED_ROWS rows a pass (one permutation's images a pass when
+    the rows alone are more).  Rows are compared column by column, never
+    as integer keys, which would overflow for large k and n.  Over a
+    group the least row of an orbit is kept and no other; for any set of
+    permutations the least row of an orbit is no greater than any of its
+    images, so every orbit keeps at least one row.
     """
     rows = np.asarray(rows)
-    perms = np.asarray(symmetries, dtype=np.intp).reshape(-1, rows.shape[1])
-    keep = np.ones(len(rows), dtype=bool)
-    for perm in perms[(perms != np.arange(rows.shape[1])).any(axis=1)]:  # not the identity
-        diff = _relabelled(rows[:, perm]) - rows
+    m, n = rows.shape
+    perms = np.asarray(symmetries, dtype=np.intp).reshape(-1, n)
+    perms = perms[(perms != np.arange(n)).any(axis=1)]  # not the identity
+    keep = np.ones(m, dtype=bool)
+    step = max(1, _STACKED_ROWS // max(m, 1))
+    for start in range(0, len(perms), step):
+        group = perms[start:start + step]
+        images = _relabelled(rows[:, group].swapaxes(0, 1).reshape(-1, n))
+        diff = (images.reshape(len(group), m, n) - rows).reshape(-1, n)
         first = (diff != 0).argmax(axis=1)  # column 0 where the two are equal
-        keep &= diff[np.arange(len(rows)), first] >= 0
+        keep &= (diff[np.arange(len(diff)), first] >= 0).reshape(len(group), m).all(axis=0)
     return rows[keep]
 
 

@@ -407,16 +407,24 @@ def apply_local_unitaries(rho, unitaries):
 
     This realises the basis freedom of probe-state criteria: evaluating a
     criterion on the rotated state is equivalent to rotating the probe.
+    Factor i must be a d_i x d_i matrix, d_i the dimension of subsystem
+    i, with U^dagger U within 1e-10 of the identity in every entry;
+    DomainError otherwise.
     """
     if len(unitaries) != rho.shape.n:
         raise DomainError("need one unitary per subsystem")
+    factors = [np.asarray(u) for u in unitaries]
+    for i, (u, d) in enumerate(zip(factors, rho.shape.dims)):
+        if u.shape != (d, d):
+            raise DomainError(
+                f"local unitary {i} has shape {u.shape}, subsystem {i} needs ({d}, {d})")
+        if not np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10:  # NaN fails too
+            raise DomainError(f"local unitary {i} is not unitary within 1e-10")
     # U, U rho and the result, 48 D^2 bytes, and BLAS's workspace of a
     # few MB: 64 D^2 bytes are counted
     total = rho.shape.total
     _check_dense_bytes(64 * total ** 2, f"local unitaries on a dense {total} x {total} state")
-    u = kron_all(unitaries)
-    if u.shape != (rho.shape.total, rho.shape.total):
-        raise DomainError("local unitary dimensions do not match the state")
+    u = kron_all(factors)
     left = u @ rho.mat
     return DensityMatrix(rho.shape, left @ np.conjugate(u, out=u).T, validate=False)
 

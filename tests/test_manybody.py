@@ -470,14 +470,125 @@ class TestMeanField:
                         assert np.max(np.abs(diff - shift * np.eye(d))) < 1e-12
 
 
+def _eigh_sweep(ham, blocks, x):
+    """One sweep from the Bloch vectors x (n x 3, site order) with every
+    block, single sites too, updated to a ground vector from
+    np.linalg.eigh of its mean-field Hamiltonian, the fields summed edge
+    by edge: the new Bloch vectors (site order) and the block states."""
+    coupling = 0.5 * np.array([ham.params.jx, ham.params.jy, ham.params.jz])
+    bloch = np.array(x, dtype=float)
+    states = []
+    for block in blocks:
+        field = np.zeros((len(block), 3))
+        for i, l in ham.lattice.edges:
+            for a, b in ((i, l), (l, i)):
+                if a in block and b not in block:
+                    field[block.index(a)] += coupling * bloch[b]
+        d = 2 ** len(block)
+        heff = ham.block(block) + (
+            field.reshape(-1) @ manybody._site_paulis(len(block))).reshape(d, d)
+        states.append(np.linalg.eigh(heff)[1][:, 0])
+        bloch[list(block)] = _bloch(states[-1])
+    return bloch, states
+
+
+def _block_sweep(ham, rows, restarts, x):
+    """One _BlockSweep of the batch `rows` from x, shape (rows * restarts,
+    n, 3) in site order: G(x) in site order, and the energies."""
+    orders = np.argsort(rows, axis=1, kind="stable")
+    orders = orders[np.repeat(np.arange(len(rows)), restarts)]
+    at = np.arange(len(x))[:, None]
+    out, energy = manybody._BlockSweep(ham, rows, restarts)(x[at, orders].reshape(len(x), -1))
+    g = np.empty_like(x)
+    g[at, orders] = out.reshape(x.shape)
+    return g, energy
+
+
+def _check_sweep(ham, rows, restarts, x):
+    """_block_sweep against _eigh_sweep, row by row: Bloch vectors, and
+    the energy against <psi|H|psi> of the product state it builds."""
+    g, energy = _block_sweep(ham, rows, restarts, x)
+    for r, row in enumerate(np.repeat(rows, restarts, axis=0)):
+        blocks = [tuple(np.flatnonzero(row == b).tolist()) for b in range(row.max() + 1)]
+        bloch, states = _eigh_sweep(ham, blocks, x[r])
+        assert np.max(np.abs(g[r] - bloch)) < 1e-12, (row, r)
+        psi = _product_state(blocks, states, ham.n)
+        assert abs(energy[r] - np.vdot(psi, ham.dense() @ psi).real) < 1e-12, (row, r)
+    return g
+
+
+# PARAMS without Jy alone: that turns every Bloch vector to +-y, so mean
+# fields cancel to rounding and a single site's update is a tie, which
+# the closed form and eigh may break differently
+SWEEP_PARAMS = PARAMS[:5] + [HeisenbergParams(0.8, -0.4, 1.3, 0.9)]
+
+
+class TestSweepArithmetic:
+    """One sweep of _BlockSweep against block-by-block eigh updates: a
+    single site is updated in closed form, and the energy, read in one
+    pass, is that of the product state the sweep builds."""
+
+    @pytest.mark.parametrize("params", SWEEP_PARAMS)
+    def test_single_sites_in_closed_form(self, params):
+        rng = np.random.default_rng(7)
+        for lattice in (Lattice.chain(4), Lattice.ring(5)):
+            x = rng.standard_normal((6, lattice.n, 3))
+            x[0] = 0.0  # site 0 starts in the field h z alone, b = 0 at h = 0
+            g = _check_sweep(SpinHamiltonian(lattice, params), np.arange(lattice.n)[None], 6, x)
+            if params.h == 0:
+                assert np.array_equal(g[0, 0], [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_one_pass_energy_is_the_product_state_energy(self, n):
+        """Batches of partitions that mix single sites and larger blocks,
+        two restarts each.  A chain or ring has no isolated site, which
+        at h = 0 would make its block's ground level degenerate."""
+        rng = np.random.default_rng(n)
+        for lattice in (Lattice.chain(n), Lattice.ring(n)):
+            for params in SWEEP_PARAMS:
+                ham = SpinHamiltonian(lattice, params)
+                for k in range(2, n):
+                    rows = np.concatenate(list(k_partition_rows(n, k)))
+                    sizes = np.array([np.bincount(row) for row in rows])
+                    mixed = rows[(sizes == 1).any(axis=1)]
+                    pick = mixed[rng.integers(len(mixed))]
+                    batch = rows[(sizes == np.bincount(pick)).all(axis=1)]
+                    batch = batch[np.sort(rng.permutation(len(batch))[:3])]
+                    _check_sweep(ham, batch, 2, rng.standard_normal((2 * len(batch), n, 3)))
+
+    def test_compacted_rows_sweep_as_before(self):
+        ham = SpinHamiltonian(Lattice.ring(6), HeisenbergParams.from_gamma(0.3, h=0.7))
+        rows = np.concatenate(list(k_partition_rows(6, 3)))
+        rows = rows[[tuple(np.bincount(row)) == (3, 2, 1) for row in rows]]
+        sweep = manybody._BlockSweep(ham, rows, 2)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2 * len(rows), 18))
+        out, energy = sweep(x)
+        keep = rng.random(len(x)) < 0.5
+        sweep.compact(keep)
+        kept_out, kept_energy = sweep(x[keep])
+        assert np.max(np.abs(kept_out - out[keep])) <= 1e-12
+        assert np.max(np.abs(kept_energy - energy[keep])) <= 1e-12
+
+    def test_single_site_search_needs_no_eigensolve(self, monkeypatch):
+        def refuse(heff):
+            raise AssertionError("eigensolve")
+
+        monkeypatch.setattr(manybody, "_ground_pairs", refuse)
+        for lattice in (Lattice.ring(6), Lattice.chain(5)):
+            ham = SpinHamiltonian(lattice, HeisenbergParams.from_gamma(0.3, h=0.7))
+            assert min_ksep_energy(ham, lattice.n, restarts=2, seed=0).converged
+            with pytest.raises(AssertionError, match="eigensolve"):
+                min_ksep_energy(ham, lattice.n - 1, restarts=2, seed=0)
+
 RING8_CHAIN = {
-    2: -6.487154267775843,
+    2: -6.487154267775844,
     3: -6.232050807568863,
     4: -5.999999999999986,
-    5: -5.366222282372173,
-    6: -4.8816489142772985,
+    5: -5.366222282372174,
+    6: -4.881648914277299,
     7: -4.414213562373096,
-    8: -4.000000000000001,
+    8: -4.0,
 }
 
 

@@ -16,6 +16,7 @@ from multisep import (
     stirling2,
     unique_k_partitions,
 )
+from multisep import partitions
 from multisep.partitions import k_partition_rows, orbit_representatives, partition_count
 
 
@@ -271,3 +272,46 @@ class TestOrbitRepresentatives:
                 if all(tuple(row) <= relabel([row[p] for p in perm]) for perm in group)]
         assert orbit_representatives(rows, group).tolist() == want
         assert len(want) == 10  # one pair of sites, 1 to 10 apart
+
+
+def _least_image_rows(rows, group):
+    """Brute-force filter: the rows whose base-k key is the least over
+    their images under every permutation of `group`, each image renumbered
+    by the rank of its blocks' first positions."""
+    n = rows.shape[1]
+    k = int(rows.max()) + 1
+    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)  # k^n < 2^63 at n, k <= 10
+    own = rows.astype(np.int64) @ weights
+    least = own.copy()
+    for perm in group:
+        image = rows[:, perm]
+        first = np.stack([(image == b).argmax(axis=1) for b in range(k)], axis=1)
+        rank = np.argsort(np.argsort(first, axis=1), axis=1)
+        least = np.minimum(least, np.take_along_axis(rank, image, axis=1) @ weights)
+    return rows[own == least]
+
+
+class TestStackedOrbitFilter:
+    """orbit_representatives renumbers the images under several
+    permutations in one stacked pass; the rows it keeps, and their order,
+    are those of a least-image filter."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("lattice", [Lattice.ring, Lattice.chain])
+    def test_equals_the_least_image_filter(self, lattice, n):
+        group = lattice(n).automorphisms()
+        for k in range(1, n + 1):
+            rows = np.concatenate(list(k_partition_rows(n, k)))
+            want = _least_image_rows(rows, group)
+            assert np.array_equal(orbit_representatives(rows, group), want), (n, k)
+            by_chunk = [orbit_representatives(chunk, group) for chunk in k_partition_rows(n, k)]
+            assert np.array_equal(np.concatenate(by_chunk), want), (n, k)
+
+    @pytest.mark.parametrize("stacked", [1, 7, 100])
+    def test_any_pass_size(self, monkeypatch, stacked):
+        monkeypatch.setattr(partitions, "_STACKED_ROWS", stacked)
+        group = Lattice.ring(6).automorphisms()
+        for k in range(1, 7):
+            rows = np.concatenate(list(k_partition_rows(6, k)))
+            assert np.array_equal(orbit_representatives(rows, group),
+                                  _least_image_rows(rows, group)), k

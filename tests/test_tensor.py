@@ -445,6 +445,26 @@ class TestPermuteAndRotate:
         rotated = apply_local_unitaries(rho, [u, u])
         assert np.allclose(hermitian_spectrum(rotated.mat), hermitian_spectrum(rho.mat))
 
+    @pytest.mark.parametrize("unitaries,message", [
+        # the right total dimension, split the wrong way
+        ([np.eye(4), np.eye(1)], r"local unitary 0 has shape \(4, 4\), subsystem 0 needs"),
+        ([np.eye(2), np.eye(2)[:, :1]], "local unitary 1 has shape"),
+        # a trace-2 result if it went through
+        ([np.ones((2, 2)), np.eye(2)], "local unitary 0 is not unitary within 1e-10"),
+        ([np.eye(2), np.diag([1.0, 1.0 + 1e-9])], "local unitary 1 is not unitary"),
+        ([np.eye(2), np.full((2, 2), np.nan)], "local unitary 1 is not unitary"),
+    ])
+    def test_local_unitaries_are_checked(self, unitaries, message):
+        rho = maximally_mixed(qubits(2))
+        with pytest.raises(DomainError, match=message):
+            apply_local_unitaries(rho, unitaries)
+
+    def test_local_unitaries_within_tolerance_pass(self):
+        rho = maximally_mixed(SystemShape((2, 3)))
+        phase = np.diag(np.exp(1j * np.array([0.1, 0.2, 0.3])))
+        rotated = apply_local_unitaries(rho, [np.diag([1.0, 1.0 + 1e-12]), phase])
+        assert np.max(np.abs(rotated.mat - rho.mat)) < 1e-11
+
 
 class TestJsonFormat:
     def test_roundtrip(self, tmp_path, rng):
