@@ -325,6 +325,9 @@ def cmd_threshold(args):
 
     lo, hi = args.lo, args.hi
     _check_tolerance("--threshold-tol", args.threshold_tol)
+    # written so that a NaN end fails it too
+    if not lo < hi:
+        raise DomainError(f"bracket needs --lo below --hi, got --lo {lo} and --hi {hi}")
     det_lo, det_hi = detected(lo), detected(hi)
     if det_lo == det_hi:
         raise DomainError(

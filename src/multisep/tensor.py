@@ -184,7 +184,8 @@ class StateVector:
             )
         if validate:
             norm = np.linalg.norm(amp)
-            if abs(norm - 1.0) > STATE_TOL:
+            # written so that NaN entries fail it too
+            if not abs(norm - 1.0) <= STATE_TOL:
                 raise DomainError(f"state vector norm {norm} is not 1 within {STATE_TOL}")
         self.shape = shape
         self.amp = amp
@@ -219,13 +220,14 @@ class DensityMatrix:
                 f"matrix shape {mat.shape} does not match total dimension {shape.total}"
             )
         if validate:
-            if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
+            # the checks are written so that NaN entries fail them too
+            if not np.max(np.abs(mat - mat.conj().T)) <= STATE_TOL:
                 raise DomainError("matrix is not Hermitian within tolerance")
             tr = np.trace(mat).real
-            if abs(tr - 1.0) > STATE_TOL:
+            if not abs(tr - 1.0) <= STATE_TOL:
                 raise DomainError(f"trace {tr} is not 1 within {STATE_TOL}")
             evals = np.linalg.eigvalsh(mat)
-            if evals[0] < -STATE_TOL:
+            if not evals[0] >= -STATE_TOL:
                 raise DomainError(f"minimal eigenvalue {evals[0]} below -{STATE_TOL}")
         self.shape = shape
         self.mat = mat
@@ -361,7 +363,7 @@ def hermitian_spectrum(mat, tol=STATE_TOL):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DomainError("spectrum needs a square matrix")
-    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > tol:
+    if not np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) <= tol:
         raise DomainError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(mat)
 

@@ -169,6 +169,10 @@ class TestQssSimulation:
         b = QssSimulator().run(500, seed=9)
         assert a == b
 
+    def test_run_rejects_negative_rounds(self):
+        with pytest.raises(DomainError, match="rounds"):
+            QssSimulator().run(-5)
+
     def test_sampled_expectations_converge(self):
         sim = QssSimulator()
         exact = sim.exact_expectations()

@@ -1,133 +1,32 @@
 """The CHSH great-circle search and the array-pass QSS rounds against the
-loops they replaced.
+recorded outputs of the loops they replaced, and the CHSH bounds against
+every product state.
 
-The oracle_* code below is the scalar implementation kept verbatim in
-logic: one `extremum` call per cell of a theta x phi grid of Alice's
-sphere with a Nelder-Mead polish, and one `rng.choice(8, p=...)` per
-protocol round.  `chsh_bound` now searches the one great circle that
-holds the optimum, so it must reach at least the oracle's B+ and at most
-its B- (to 1e-12), and no product state may lie outside its bounds.
-QSS counts must be exactly equal (`==`), since the CLI promises
-byte-identical output for identical flags and seeds.  The oracles are
-kept for one release as a safety net and then deleted.
+The replaced CHSH search evaluated one `extremum` per cell of a
+theta x phi grid of Alice's sphere, with an optional Nelder-Mead polish;
+the replaced QSS rounds drew one `rng.choice(8, p=...)` per round.  Their
+outputs on the fixed settings and seeds below are pinned in
+pins/applications.json.  `chsh_bound` searches the one great circle that
+holds the optimum, so it must reach at least each pinned B+ and at most
+each pinned B- (to 1e-12), and no product state may lie outside its
+bounds.  QSS counts, round sequences, generator states and outcome CDFs
+must be exactly equal, since the CLI promises byte-identical output for
+identical flags and seeds.
 """
 
-from itertools import product
-from math import cos, pi, sin
+import hashlib
+import json
+from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
-from multisep import DomainError, EffectiveOpParams, QssSimulator, chsh_bound, qss_round
+from multisep import EffectiveOpParams, QssSimulator, chsh_bound, qss_round
 from multisep import applications
-from multisep.applications import _BASIS_VECTORS, QssRound, qss_table
-from multisep.states import ghz_amplitudes
-from multisep.tensor import kron_all
-from multisep.unstable import ChshBounds, _check_settings, bloch_vector
+from multisep.unstable import bloch_vector
 
-# ---------------------------------------------------------------------------
-# Oracles: the scalar loops the array pass and the outcome tables replaced
-# ---------------------------------------------------------------------------
-
-
-def _unit(theta, phi):
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
-
-
-def oracle_chsh_bound(settings, grid=(64, 128), refine=True):
-    a1, a2, b1, b2 = _check_settings(settings)
-    na1, na2 = bloch_vector(a1), bloch_vector(a2)
-    nb1, nb2 = bloch_vector(b1), bloch_vector(b2)
-    ca1, ca2 = 1.0 - np.linalg.norm(na1), 1.0 - np.linalg.norm(na2)
-    cb_sum = (1.0 - np.linalg.norm(nb1)) + (1.0 - np.linalg.norm(nb2))
-    cb_diff = (1.0 - np.linalg.norm(nb1)) - (1.0 - np.linalg.norm(nb2))
-    nb_sum, nb_diff = nb1 + nb2, nb1 - nb2
-
-    def extremum(avec, sign):
-        g1 = ca1 + na1 @ avec
-        g2 = ca2 + na2 @ avec
-        base = g1 * cb_sum + g2 * cb_diff
-        coeff = g1 * nb_sum + g2 * nb_diff
-        return base + sign * np.linalg.norm(coeff)
-
-    n_theta, n_phi = grid
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-
-    results = {}
-    converged = True
-    for sign, label in ((1.0, "max"), (-1.0, "min")):
-        best_val = -np.inf
-        best_angles = (0.0, 0.0)
-        for th in thetas:
-            for ph in phis:
-                val = sign * extremum(_unit(th, ph), sign)
-                if val > best_val:
-                    best_val = val
-                    best_angles = (th, ph)
-        if refine:
-            res = minimize(
-                lambda x: -sign * extremum(_unit(x[0], x[1]), sign),
-                x0=np.array(best_angles),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-            )
-            converged = converged and bool(res.success)
-            best_val = max(best_val, float(-res.fun))
-        results[label] = sign * best_val
-    return ChshBounds(b_minus=results["min"], b_plus=results["max"], converged=converged)
-
-
-class OracleQss:
-    """QssSimulator's sampling as it was: a probability vector per basis
-    triple and one `rng.choice` per round."""
-
-    def __init__(self, eavesdrop=False):
-        self.eavesdrop = bool(eavesdrop)
-        self.resource = QssSimulator(eavesdrop=eavesdrop).resource
-        self._table = qss_table()
-        self._bases = [tuple(b) for b in product("xy", repeat=3)]
-        self._outcomes = {}
-        for bases in self._bases:
-            combos = [tuple(b + s for b, s in zip(bases, signs))
-                      for signs in product("+-", repeat=3)]
-            probs = []
-            for combo in combos:
-                proj = kron_all([np.outer(_BASIS_VECTORS[c], _BASIS_VECTORS[c].conj())
-                                 for c in combo])
-                probs.append(max(np.trace(self.resource.mat @ proj).real, 0.0))
-            probs = np.array(probs)
-            self._outcomes[bases] = (combos, probs / probs.sum())
-
-    def round(self, rng):
-        bases = self._bases[rng.integers(0, len(self._bases))]
-        combos, probs = self._outcomes[bases]
-        outcomes = combos[rng.choice(len(combos), p=probs)]
-        alice_state = self._table[(outcomes[1], outcomes[2])]
-        sifted = bases[0] == alice_state[0]
-        return QssRound(bases=bases, outcomes=outcomes, sifted=sifted,
-                        alice_state=alice_state)
-
-    def run(self, rounds, seed=0):
-        rng = np.random.default_rng(seed)
-        sifted = 0
-        matches = 0
-        for _ in range(rounds):
-            rnd = self.round(rng)
-            if rnd.sifted:
-                sifted += 1
-                if rnd.outcomes[0] == rnd.alice_state:
-                    matches += 1
-        return {
-            "rounds": rounds,
-            "sifted": sifted,
-            "sift_rate": sifted / rounds if rounds else 0.0,
-            "key_matches": matches,
-            "match_rate": matches / sifted if sifted else 0.0,
-            "eavesdrop": self.eavesdrop,
-        }
-
+PINS = json.loads((Path(__file__).parent / "pins" / "applications.json").read_text())
 
 # ---------------------------------------------------------------------------
 # CHSH bounds
@@ -186,27 +85,26 @@ def test_enough_settings():
     assert len(SETTINGS) >= 40
 
 
-def _assert_reaches(bounds, oracle):
-    assert bounds.converged
-    assert bounds.b_plus >= oracle.b_plus - 1e-12
-    assert bounds.b_minus <= oracle.b_minus + 1e-12
+def _assert_reaches(settings, pinned):
+    """chsh_bound converges and reaches each pinned [B+, B-] pair."""
+    for s, (b_plus, b_minus) in zip(settings, pinned, strict=True):
+        bounds = chsh_bound(s)
+        assert bounds.converged
+        assert bounds.b_plus >= b_plus - 1e-12
+        assert bounds.b_minus <= b_minus + 1e-12
 
 
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("grid", SMALL_GRIDS)
 def test_chsh_bound_matches_scalar_grid(grid, refine):
     # the circle search matches or beats the sphere grid with its polish
-    for settings in SETTINGS:
-        _assert_reaches(chsh_bound(settings), oracle_chsh_bound(settings, grid=grid,
-                                                                refine=refine))
+    _assert_reaches(SETTINGS, PINS["chsh_bounds"][f"{grid[0]}x{grid[1]}-{refine}"])
 
 
 @pytest.mark.parametrize("refine", [False, True])
 def test_chsh_bound_matches_scalar_grid_default(refine):
-    # the first ten cover every special case; the scalar oracle needs
-    # about 0.2 s per call on this grid
-    for settings in SETTINGS[:10]:
-        _assert_reaches(chsh_bound(settings), oracle_chsh_bound(settings, refine=refine))
+    # the 64 x 128 grid, pinned on the first ten, which cover every special case
+    _assert_reaches(SETTINGS[:10], PINS["chsh_bounds"][f"default-{refine}"])
 
 
 def _product_values(settings, alice):
@@ -252,25 +150,41 @@ def test_fine_circle_sweep_agrees():
 # ---------------------------------------------------------------------------
 
 
+def _summary(rounds, sifted, matches, eavesdrop):
+    """QssSimulator.run's report for these counts."""
+    return {
+        "rounds": rounds,
+        "sifted": sifted,
+        "sift_rate": sifted / rounds if rounds else 0.0,
+        "key_matches": matches,
+        "match_rate": matches / sifted if sifted else 0.0,
+        "eavesdrop": eavesdrop,
+    }
+
+
+def _round_line(rnd):
+    return f"{''.join(rnd.bases)} {','.join(rnd.outcomes)} {int(rnd.sifted)} {rnd.alice_state}\n"
+
+
 @pytest.mark.parametrize("eavesdrop", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("rounds", [0, 1, 7, 5000])
 def test_qss_run_matches_choice_loop(eavesdrop, seed, rounds):
+    sifted, matches = PINS["qss_runs"][f"{eavesdrop}-{seed}-{rounds}"]
     assert QssSimulator(eavesdrop).run(rounds, seed=seed) == \
-        OracleQss(eavesdrop).run(rounds, seed=seed)
+        _summary(rounds, sifted, matches, eavesdrop)
 
 
 @pytest.mark.parametrize("eavesdrop", [False, True])
 def test_qss_rounds_match_choice_loop(eavesdrop):
-    sim, oracle = QssSimulator(eavesdrop), OracleQss(eavesdrop)
-    for seed in range(20):
-        assert qss_round(seed=seed, eavesdrop=eavesdrop) == \
-            oracle.round(np.random.default_rng(seed))
-    new_rng, old_rng = np.random.default_rng(77), np.random.default_rng(77)
-    for _ in range(2000):
-        assert sim.round(new_rng) == oracle.round(old_rng)
-    # both leave the generator in the same state
-    assert new_rng.random() == old_rng.random()
+    pins = PINS["qss_rounds"][str(eavesdrop)]
+    assert [_round_line(qss_round(seed=seed, eavesdrop=eavesdrop))
+            for seed in range(20)] == pins["seeds_0_to_19"]
+    sim, rng = QssSimulator(eavesdrop), np.random.default_rng(77)
+    lines = "".join(_round_line(sim.round(rng)) for _ in range(2000))
+    assert hashlib.sha256(lines.encode()).hexdigest() == pins["rng77_2000_sha256"]
+    # the generator is left in the same state
+    assert rng.random() == pins["rng77_next_random"]
 
 
 @pytest.mark.parametrize("eavesdrop", [False, True])
@@ -278,54 +192,17 @@ def test_qss_rounds_match_choice_loop(eavesdrop):
 def test_qss_run_across_chunk_edges(monkeypatch, eavesdrop, seed):
     # chunks of 4 rounds: runs that end inside, at and past a chunk edge
     monkeypatch.setattr(applications, "_ROUND_CHUNK", 4)
-    sim, oracle = QssSimulator(eavesdrop), OracleQss(eavesdrop)
-    for rounds in [*range(12), 1001]:
-        assert sim.run(rounds, seed=seed) == oracle.run(rounds, seed=seed)
-
-
-def _hand_built_resource(eavesdrop):
-    """|psi><psi| as the simulator built it before it called vec_to_dm:
-    the GHZ amplitudes placed at big-endian indices by hand, or |000>."""
-    vec = np.zeros(8, dtype=complex)
-    if eavesdrop:
-        vec[0] = 1.0
-    else:
-        for mi, amp in ghz_amplitudes(3, 2).items():
-            vec[mi[0] * 4 + mi[1] * 2 + mi[2]] = amp
-    return np.outer(vec, vec.conj())
-
-
-def _projector_cdfs(mat):
-    """The outcome CDFs as built before the one-pass <v|rho|v>: one
-    kron_all projector and one trace per outcome."""
-    cdfs = []
-    for bases in product("xy", repeat=3):
-        probs = []
-        for signs in product("+-", repeat=3):
-            proj = kron_all([np.outer(_BASIS_VECTORS[b + s], _BASIS_VECTORS[b + s].conj())
-                             for b, s in zip(bases, signs)])
-            probs.append(max(np.trace(mat @ proj).real, 0.0))
-        probs = np.array(probs)
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        cdfs.append(cdf)
-    return np.array(cdfs)
+    sim = QssSimulator(eavesdrop)
+    pinned = PINS["qss_chunk_edges"][f"{eavesdrop}-{seed}"]
+    for rounds, (sifted, matches) in zip([*range(12), 1001], pinned, strict=True):
+        assert sim.run(rounds, seed=seed) == _summary(rounds, sifted, matches, eavesdrop)
 
 
 @pytest.mark.parametrize("eavesdrop", [False, True])
 def test_qss_tables_equal_the_projector_loop(eavesdrop):
+    # the resource |psi><psi| (GHZ or |000>) and its outcome CDFs as one
+    # kron_all projector and one trace per outcome built them
+    pins = PINS["qss_tables"][str(eavesdrop)]
     sim = QssSimulator(eavesdrop=eavesdrop)
-    hand_built = _hand_built_resource(eavesdrop)
-    # the oracle reads its resource from QssSimulator, so this pins it too
-    assert sim.resource.mat.tobytes() == hand_built.tobytes()
-    assert sim._cdfs.tobytes() == _projector_cdfs(hand_built).tobytes()
-    oracle = OracleQss(eavesdrop)
-    for bases, cdf in zip(oracle._bases, sim._cdfs):
-        want = oracle._outcomes[bases][1].cumsum()
-        want /= want[-1]
-        assert cdf.tobytes() == want.tobytes()
-
-
-def test_qss_run_rejects_negative_rounds():
-    with pytest.raises(DomainError, match="rounds"):
-        QssSimulator().run(-5)
+    assert hashlib.sha256(sim.resource.mat.tobytes()).hexdigest() == pins["resource_sha256"]
+    assert sim._cdfs.tobytes() == np.array(pins["cdfs"]).tobytes()

@@ -457,11 +457,29 @@ class TestUsageErrors:
         (["scan", "--family", "ghz-iso", "--crit", "gme", "--probe", "000,111",
           "--start", "0", "--stop", "nan", "--step", "0.5"], "must be finite"),
         (["manybody", "--n", "3", "--h-start=-inf", "--h-stop", "0"], "must be finite"),
+        (["threshold", "--family", "ghz-iso", "--n", "3", "--crit", "gme", "--probe",
+          "000,111", "--lo", "0.5", "--hi", "0"], "got --lo 0.5 and --hi 0.0"),
+        (["threshold", "--family", "ghz-iso", "--n", "3", "--crit", "gme", "--probe",
+          "000,111", "--lo", "nan", "--hi", "0.5"], "got --lo nan and --hi 0.5"),
     ])
     def test_domain_error(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("crit", ["gme", "ppt"])
+    def test_nan_in_state_file(self, tmp_path, capsys, crit):
+        # json.load accepts NaN: the 2-qubit GHZ matrix with one NaN entry
+        # above the diagonal, where eigvalsh does not read
+        path = tmp_path / "nan.json"
+        assert main(["state", "--kind", "ghz", "--n", "2", "--out", str(path)]) == 0
+        state = json.loads(path.read_text())
+        state["re"][0][3] = float("nan")
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(["crit", "--crit", crit, "--in", str(path), "--probe", "00,11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not Hermitian" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["manybody", "--ks", "a"],
@@ -698,7 +716,7 @@ class TestStartup:
         assert out == "False False\n"
 
     def test_unstable_leaves_scipy_unloaded(self):
-        # chsh_bound needs NumPy alone; importing scipy.optimize would add
+        # chsh_bound needs NumPy alone; importing SciPy's optimizers would add
         # about 46 MB of resident memory to the command
         env = dict(os.environ, PYTHONPATH=str(SRC))
         run = subprocess.run([sys.executable, "-X", "importtime", "-m", "multisep", "unstable"],

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -411,6 +412,29 @@ class TestQm:
     def test_m_range(self):
         with pytest.raises(DomainError):
             qm_value(maximally_mixed(qubits(3)), 3)
+
+
+class TestLargeNClosedForms:
+    def test_ghz_iso_ksep_and_dicke_iso_qm(self):
+        """Sizes beyond any brute-force evaluator.  ghz-iso with probe
+        (0^n, 1^n): every mixed diagonal is pure noise, so
+        ksep = alpha/2 - S(n,k)(1-alpha)/2^n; dicke-iso at f = 2:
+        qm = p/(d-1) - X(1-p), X = C(n,mu)(2n-2mu-1)/d^n, dicke = mu qm."""
+        alpha = 0.3
+        for n, k in ((18, 2), (10, 3), (9, 4)):
+            prov = family_state("ghz-iso", n=n, alpha=alpha, representation="provider")
+            want = alpha / 2 - stirling2(n, k) * (1 - alpha) / 2 ** n
+            assert ksep_value(prov, k, ((0,) * n, (1,) * n)).value == pytest.approx(
+                want, abs=1e-12)
+        p = 0.4
+        for n, m, d in ((16, 3, 2), (20, 1, 2), (8, 2, 3), (9, 7, 3)):
+            prov = family_state("dicke-iso", n=n, m=m, d=d, p=p, representation="provider")
+            mu = min(m, n - m)
+            x = comb(n, mu) * (2 * n - 2 * mu - 1) / d ** n
+            want = p / (d - 1) - x * (1 - p)
+            assert qm_value(prov, m).value == pytest.approx(want, abs=1e-12)
+            if d == 2:
+                assert dicke_gme_value(prov, m).value == pytest.approx(mu * want, abs=1e-12)
 
 
 class TestClassInequalities:

@@ -1,16 +1,18 @@
-"""The vectorised partition-sum kernel against the per-element evaluators.
+"""The vectorised partition-sum kernel against the recorded outputs of the
+per-element evaluators it replaced.
 
-The oracle_* functions below are the evaluators the kernel replaced,
-kept verbatim in logic (one scalar element query at a time, partitions
-as Python objects).  Every matrix-element criterion must agree with its
-oracle to 1e-9 on random complex mixtures, random dense states, flipped
-views, mixed local dimensions, every k from 2 to n, and a shape whose
-total dimension exceeds the int64 range.  The oracles are kept for one
-release as a safety net and then deleted.
+Those evaluators queried one scalar element at a time and walked the
+partitions as Python objects.  Their values on the fixed, seeded inputs
+below (random complex mixtures, random dense states, flipped views,
+mixed local dimensions, every k from 2 to n, and a shape whose total
+dimension exceeds the int64 range) are pinned in pins/kernel.json, and
+every matrix-element criterion must reproduce them to 1e-9, also when
+batches of 4 entries force every chunked path of the kernel.
 """
 
-from itertools import combinations, product
-from math import comb, sqrt
+import json
+from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,140 +24,16 @@ from multisep import (
     bipartite_value,
     criteria,
     dicke_gme_value,
-    family_state,
     gme_value,
-    iter_bipartitions,
-    iter_k_partitions,
     ksep_value,
     q0_value,
     qm_value,
-    stirling2,
 )
 from multisep.sampling import random_density_matrix
 from multisep.states import ElementProvider, FlippedProvider, as_provider
 
 TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Oracles: the per-element evaluators the kernel replaced
-# ---------------------------------------------------------------------------
-
-
-def _diag(el, mi):
-    return max(el(mi, mi).real, 0.0)
-
-
-def _mix(on_block, a, b, n):
-    return tuple(a[i] if i in on_block else b[i] for i in range(n))
-
-
-def oracle_bipartite(prov, a, b):
-    el = prov.element
-    return abs(el(a, b)) - sqrt(_diag(el, (a[0], b[1])) * _diag(el, (b[0], a[1])))
-
-
-def oracle_gme(prov, a, b):
-    n = prov.shape.n
-    el = prov.element
-    s = 0.0
-    for part in iter_bipartitions(n):
-        g = set(part.blocks[0])
-        s += sqrt(_diag(el, _mix(g, a, b, n)) * _diag(el, _mix(g, b, a, n)))
-    return abs(el(a, b)) - s
-
-
-def oracle_ksep(prov, k, a, b):
-    n = prov.shape.n
-    el = prov.element
-    s = 0.0
-    for part in iter_k_partitions(n, k):
-        prod_term = 1.0
-        for block in part.blocks:
-            g = set(block)
-            prod_term *= _diag(el, _mix(g, a, b, n)) * _diag(el, _mix(g, b, a, n))
-        s += prod_term ** (1.0 / (2.0 * k))
-    return abs(el(a, b)) - s
-
-
-def oracle_q0(prov):
-    n = prov.shape.n
-    d = prov.shape.uniform_dim
-    el = prov.element
-    parts = [set(p.blocks[0]) for p in iter_bipartitions(n)]
-    q0 = 0.0
-    for k, l in product(range(d), repeat=2):
-        if k == l:
-            continue
-        lvec, kvec = (l,) * n, (k,) * n
-        q0 += abs(el(lvec, kvec))
-        for g in parts:
-            q0 -= sqrt(_diag(el, _mix(g, lvec, kvec, n)) * _diag(el, _mix(g, kvec, lvec, n)))
-    return q0
-
-
-def _ones_at(members, n):
-    return tuple(1 if i in members else 0 for i in range(n))
-
-
-def _dicke_pairs(n, mu):
-    for alpha in combinations(range(n), mu):
-        alpha_set = set(alpha)
-        rest = [y for y in range(n) if y not in alpha_set]
-        for x in alpha:
-            kept = alpha_set - {x}
-            for y in rest:
-                yield alpha_set, kept | {y}
-
-
-def _flip_view(prov, m):
-    n = prov.shape.n
-    return (FlippedProvider(prov), n - m) if 2 * m > n else (prov, m)
-
-
-def oracle_dicke(prov, m):
-    n = prov.shape.n
-    omega, mu = _flip_view(prov, m)
-    el = omega.element
-    value = 0.0
-    for alpha, beta in _dicke_pairs(n, mu):
-        value += abs(el(_ones_at(alpha, n), _ones_at(beta, n)))
-        value -= sqrt(_diag(el, _ones_at(alpha & beta, n)) * _diag(el, _ones_at(alpha | beta, n)))
-    diag_sum = sum(_diag(el, _ones_at(set(alpha), n)) for alpha in combinations(range(n), mu))
-    return value - mu * (n - mu - 1) * diag_sum
-
-
-def oracle_qm(prov, m, f):
-    n = prov.shape.n
-    omega, mu = _flip_view(prov, m)
-    el = omega.element
-
-    def level_vec(members, level):
-        return tuple(level + 1 if i in members else level for i in range(n))
-
-    total = 0.0
-    for alpha, beta in _dicke_pairs(n, mu):
-        for k in range(f - 1):
-            total += abs(el(level_vec(alpha, k), level_vec(beta, k)))
-            inter = tuple(k + 1 if (i in alpha and i in beta) else k for i in range(n))
-            union = tuple(k + 1 if (i in alpha or i in beta) else k for i in range(n))
-            total -= sqrt(_diag(el, inter) * _diag(el, union))
-        delta_base = sorted((set(range(n)) - beta) | alpha)
-        deltas = [set(c) for size in range(1, n - 1) for c in combinations(delta_base, size)]
-        for k in range(f - 1):
-            for l in range(k):
-                cross = abs(el(level_vec(alpha, k), level_vec(beta, l)))
-                for dl in deltas:
-                    v1 = tuple((l + 1 if j in beta else l) if j in dl
-                               else (k + 1 if j in alpha else k) for j in range(n))
-                    v2 = tuple((k + 1 if j in alpha else k) if j in dl
-                               else (l + 1 if j in beta else l) for j in range(n))
-                    cross -= sqrt(_diag(el, v1) * _diag(el, v2))
-                total += 2.0 * cross
-    diag_sum = sum(_diag(el, level_vec(set(alpha), k))
-                   for alpha in combinations(range(n), mu) for k in range(f - 1))
-    total -= mu * (n - mu - 1) * (f - 1) * diag_sum
-    return total / mu
+PINS = json.loads((Path(__file__).parent / "pins" / "kernel.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +63,8 @@ def random_probe(dims, rng):
 
 
 class ScalarOnly(ElementProvider):
-    """A provider that implements element() alone, as third-party ones may."""
+    """A provider that implements element() alone, as third-party ones may;
+    the kernel reads it through ElementProvider's scalar fallback."""
 
     def __init__(self, inner):
         self.shape = inner.shape
@@ -214,8 +93,8 @@ def _states(rng):
 STATES = _states(np.random.default_rng(20260101))
 
 
-def _close(new, old):
-    assert abs(new - old) <= TOL, (new, old)
+def _close(new, pinned):
+    assert abs(new - pinned) <= TOL, (new, pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +107,13 @@ class TestAgainstOracles:
     def test_ksep_every_k_and_gme(self, label, prov):
         rng = np.random.default_rng(len(label))
         n = prov.shape.n
-        for _ in range(2):
+        for pins in PINS["ksep_and_gme"][label]:
             a, b = random_probe(prov.shape.dims, rng)
-            _close(gme_value(prov, (a, b)).value, oracle_gme(prov, a, b))
-            for k in range(2, n + 1):
-                _close(ksep_value(prov, k, (a, b)).value, oracle_ksep(prov, k, a, b))
+            _close(gme_value(prov, (a, b)).value, pins["gme"])
+            for k, pinned in zip(range(2, n + 1), pins["ksep"], strict=True):
+                _close(ksep_value(prov, k, (a, b)).value, pinned)
             if n == 2:
-                _close(bipartite_value(prov, (a, b)).value, oracle_bipartite(prov, a, b))
+                _close(bipartite_value(prov, (a, b)).value, pins["bipartite"])
 
     def test_q0_qm_dicke(self, label, prov):
         dims = prov.shape.dims
@@ -246,13 +125,14 @@ class TestAgainstOracles:
                     call()
             return
         d = dims[0]
+        pins = PINS["q0_qm_dicke"][label]
         for f in range(2, d + 1):
-            _close(q0_value(prov, f=f).value, oracle_q0(prov))
-            for m in range(1, n):
-                _close(qm_value(prov, m, f=f).value, oracle_qm(prov, m, f))
+            _close(q0_value(prov, f=f).value, pins["q0"])
+            for m, pinned in zip(range(1, n), pins["qm"][str(f)], strict=True):
+                _close(qm_value(prov, m, f=f).value, pinned)
         if d == 2:
-            for m in range(1, n):
-                _close(dicke_gme_value(prov, m).value, oracle_dicke(prov, m))
+            for m, pinned in zip(range(1, n), pins["dicke"], strict=True):
+                _close(dicke_gme_value(prov, m).value, pinned)
 
 
 TINY_CHUNK_STATES = [s for s in STATES if s[0] in (
@@ -269,26 +149,6 @@ def test_tiny_chunks_agree(label, prov, monkeypatch):
     suite = TestAgainstOracles()
     suite.test_ksep_every_k_and_gme(label, prov)
     suite.test_q0_qm_dicke(label, prov)
-
-
-def test_closed_forms_beyond_the_oracles():
-    """ghz-iso with probe (0^n, 1^n): every mixed diagonal is pure noise,
-    so ksep = alpha/2 - S(n,k)(1-alpha)/2^n; dicke-iso at f = 2:
-    qm = p/(d-1) - X(1-p), X = C(n,mu)(2n-2mu-1)/d^n, dicke = mu qm."""
-    alpha = 0.3
-    for n, k in ((18, 2), (10, 3), (9, 4)):
-        prov = family_state("ghz-iso", n=n, alpha=alpha, representation="provider")
-        want = alpha / 2 - stirling2(n, k) * (1 - alpha) / 2 ** n
-        assert ksep_value(prov, k, ((0,) * n, (1,) * n)).value == pytest.approx(want, abs=1e-12)
-    p = 0.4
-    for n, m, d in ((16, 3, 2), (20, 1, 2), (8, 2, 3), (9, 7, 3)):
-        prov = family_state("dicke-iso", n=n, m=m, d=d, p=p, representation="provider")
-        mu = min(m, n - m)
-        x = comb(n, mu) * (2 * n - 2 * mu - 1) / d ** n
-        want = p / (d - 1) - x * (1 - p)
-        assert qm_value(prov, m).value == pytest.approx(want, abs=1e-12)
-        if d == 2:
-            assert dicke_gme_value(prov, m).value == pytest.approx(mu * want, abs=1e-12)
 
 
 @pytest.mark.parametrize("label,prov", STATES, ids=[s[0] for s in STATES])
@@ -358,11 +218,13 @@ class TestBeyondInt64:
     def test_criteria(self):
         prov = self.provider()
         top = self.D - 1
-        for a, b in (((0,) * 4, (top,) * 4), ((top, 0, top, 0), (0, top, 0, top)),
-                     ((1, 1, 0, 0), (0, 0, 1, 1))):
-            _close(gme_value(prov, (a, b)).value, oracle_gme(prov, a, b))
-            for k in (2, 3, 4):
-                _close(ksep_value(prov, k, (a, b)).value, oracle_ksep(prov, k, a, b))
-        for m in (1, 2, 3):
-            for f in (2, 3):
-                _close(qm_value(prov, m, f=f).value, oracle_qm(prov, m, f))
+        pins = PINS["beyond_int64"]
+        probes = (((0,) * 4, (top,) * 4), ((top, 0, top, 0), (0, top, 0, top)),
+                  ((1, 1, 0, 0), (0, 0, 1, 1)))
+        for (a, b), pinned in zip(probes, pins["probes"], strict=True):
+            _close(gme_value(prov, (a, b)).value, pinned["gme"])
+            for k, want in zip((2, 3, 4), pinned["ksep"], strict=True):
+                _close(ksep_value(prov, k, (a, b)).value, want)
+        for f in (2, 3):
+            for m, want in zip((1, 2, 3), pins["qm"][str(f)], strict=True):
+                _close(qm_value(prov, m, f=f).value, want)

@@ -423,6 +423,23 @@ class TestValidation:
         with pytest.raises(DomainError):
             StateVector(SystemShape((2,)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (1, 1)])
+    @pytest.mark.parametrize("nan", [complex(np.nan, 0), complex(0, np.nan)])
+    def test_nan_entry_rejected(self, i, j, nan):
+        # eigvalsh reads one triangle only, and every comparison with NaN
+        # is False, so each check must be written to fail on NaN
+        mat = vec_to_dm(ghz_state(2)).mat.copy()
+        mat[i, j] += nan
+        with pytest.raises(DomainError):
+            DensityMatrix(qubits(2), mat)
+        with pytest.raises(DomainError):
+            hermitian_spectrum(mat)
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [1.0, 1j * np.nan]])
+    def test_nan_amplitude_rejected(self, amplitudes):
+        with pytest.raises(DomainError, match="norm"):
+            StateVector(qubits(1), amplitudes)
+
 
 class TestPermuteAndRotate:
     def test_permutation_roundtrip(self, rng):
