@@ -126,9 +126,9 @@ def _family_sweep(args):
     as many points as fit in _BATCH_BYTES, and in the dense budget, at
     criteria.point_bytes a point, and at least one; it also ends where
     the set of nonzero weights changes.  A batch of one point, as each
-    step of threshold is, gets no points axis.  All providers share one
-    store of query plans, and the support tables while that set stays,
-    which live as long as reports.
+    point that threshold evaluates is, gets no points axis.  All
+    providers share one store of query plans, and the support tables
+    while that set stays, which live as long as reports.
     """
     family = args.family
     if family not in _FAMILY_VARS:
@@ -317,31 +317,73 @@ def cmd_scan(args):
     return 0
 
 
+def _flip_point(margin, lo, hi, tol):
+    """(lo, hi, evaluations): a bracket whose ends lie on opposite sides
+    of detection and which is at most tol wide, or has no float left
+    inside, found from margin(x), the signed distance to detection at x,
+    in evaluations calls of it.  x counts as detected exactly where
+    margin(x) > 0, so a margin of 0 or NaN does not.
+
+    Each step is ITP's (Oliveira & Takahashi, ACM Trans. Math. Softw.
+    47(1), art. 5, 2020) with kappa1 = 0.2 / (hi - lo), kappa2 = 2 and
+    n0 = 1: the regula falsi point, truncated towards the midpoint and
+    projected into the interval around the midpoint that keeps the
+    bracket on course to end within n0 steps of bisection's count.  On a
+    margin affine in x it takes a few steps where bisection takes
+    log2((hi - lo) / tol).  A step is the midpoint where interpolation is
+    unusable: a non-finite margin at an end, a point not strictly inside
+    the bracket, or a tol too small to size the step budget (0, or
+    (hi - lo) / tol overflowing).
+    """
+    m_lo, m_hi = margin(lo), margin(hi)
+    side = m_lo > 0
+    if (m_hi > 0) == side:
+        raise DomainError(f"no detection change in bracket [{lo}, {hi}] "
+                          f"(both {'violated' if side else 'not violated'})")
+    width = hi - lo
+    # a finite 4 * width / tol keeps width / tol finite, and the budget's
+    # largest term, tol * 2^(n_max - 1) < 4 * width
+    sized = 0 < tol < width and math.isfinite(4 * width / tol)
+    if sized:
+        kappa1 = 0.2 / width
+        n_max = math.ceil(math.log2(width / tol)) + 1
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float left between lo and hi
+            break
+        x = mid
+        if sized:
+            # NaN where either margin is not finite
+            falsi = (m_hi * lo - m_lo * hi) / (m_hi - m_lo)
+            if lo <= falsi <= hi:
+                toward_mid = math.copysign(1.0, mid - falsi)
+                delta = kappa1 * (hi - lo) ** 2
+                x = falsi + toward_mid * delta if delta <= abs(mid - falsi) else mid
+                radius = max(0.0, math.ldexp(tol, n_max - steps - 1) - 0.5 * (hi - lo))
+                if abs(x - mid) > radius:
+                    x = mid - toward_mid * radius
+                if not lo < x < hi:
+                    x = mid
+        m = margin(x)
+        steps += 1
+        if (m > 0) == side:
+            lo, m_lo = x, m
+        else:
+            hi, m_hi = x, m
+    return lo, hi, steps + 2
+
+
 def cmd_threshold(args):
     reports, var = _family_sweep(args)
-
-    def detected(value):
-        return reports([value])[0].violated
-
     lo, hi = args.lo, args.hi
     _check_tolerance("--threshold-tol", args.threshold_tol)
     # written so that a NaN end fails it too
     if not lo < hi:
         raise DomainError(f"bracket needs --lo below --hi, got --lo {lo} and --hi {hi}")
-    det_lo, det_hi = detected(lo), detected(hi)
-    if det_lo == det_hi:
-        raise DomainError(
-            f"no detection change in bracket [{lo}, {hi}] "
-            f"(both {'violated' if det_lo else 'not violated'})"
-        )
-    while hi - lo > args.threshold_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no float left between lo and hi
-            break
-        if detected(mid) == det_lo:
-            lo = mid
-        else:
-            hi = mid
+    # margin > 0 is report.violated: both are value > tol
+    lo, hi, _ = _flip_point(lambda value: reports([value])[0].margin, lo, hi,
+                            args.threshold_tol)
     root = 0.5 * (lo + hi)
     _write_lines([json.dumps({
         "family": args.family, "criterion": args.crit, "var": var,
@@ -539,14 +581,17 @@ def build_parser():
     p.add_argument("--step", type=float, required=True)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("threshold", help="bisect a detection threshold")
+    p = sub.add_parser("threshold", help="find a detection threshold")
     _add_common(p, "n", "d", "tol")
     _add_family(p)
     _add_crit(p)
-    p.add_argument("--var", default=None, help="mixing weight to bisect, as for scan")
+    p.add_argument("--var", default=None, help="mixing weight to search, as for scan")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--threshold-tol", type=float, default=1e-8, dest="threshold_tol")
+    p.add_argument("--threshold-tol", type=float, default=1e-8, dest="threshold_tol",
+                   help="width of the final bracket, whose ends lie on opposite sides of "
+                        "detection; its midpoint, printed, is within half of it of a "
+                        "detection flip (default 1e-8)")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser(

@@ -1,13 +1,24 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multisep import DensityMatrix, ResourceError, cli, criteria, manybody, tensor, unstable
+from multisep import (
+    DensityMatrix,
+    DomainError,
+    ResourceError,
+    cli,
+    criteria,
+    manybody,
+    tensor,
+    unstable,
+)
 from multisep.states import ElementProvider, family_state
 from multisep.cli import _MAX_GRID_POINTS, _grid, main
 
@@ -112,12 +123,36 @@ class TestScan:
 
 
 class TestThreshold:
-    def test_q0_f2_threshold(self, capsys):
+    @pytest.mark.parametrize("crit_args, exact", [
+        pytest.param(["--crit", "q0", "--f", "2"], Fraction(7, 71), id="q0-f2"),
+        pytest.param(["--crit", "q0", "--f", "3"], Fraction(85, 213), id="q0-f3"),
+        pytest.param(["--crit", "q0", "--f", "4"], Fraction(149, 213), id="q0-f4"),
+        pytest.param(["--crit", "ksep", "--k", "3", "--probe", "0000,3333"], Fraction(3, 35),
+                     id="ksep-k3"),
+        pytest.param(["--crit", "ksep", "--k", "4", "--probe", "0000,3333"], Fraction(1, 65),
+                     id="ksep-k4"),
+        pytest.param(["--crit", "ppt", "--block", "0"], Fraction(1, 65), id="ppt"),
+    ])
+    def test_paper_threshold(self, capsys, monkeypatch, crit_args, exact):
+        # the paper's ghz-isotropic suite, each in a dozen criterion
+        # evaluations where bisection to 1e-8 takes 28
+        sweep, points = cli._family_sweep, []
+
+        def counted(args):
+            reports, var = sweep(args)
+
+            def counted_reports(values):
+                points.extend(values)
+                return reports(values)
+
+            return counted_reports, var
+
+        monkeypatch.setattr(cli, "_family_sweep", counted)
         code, out = run_cli(capsys, "threshold", "--family", "ghz-iso", "--n", "4",
-                            "--d", "4", "--crit", "q0", "--f", "2",
-                            "--lo", "0.0", "--hi", "0.5")
+                            "--d", "4", *crit_args, "--lo", "0.0", "--hi", "0.9")
         assert code == 0
-        assert json.loads(out)["threshold"] == pytest.approx(7 / 71, abs=1e-6)
+        assert abs(json.loads(out)["threshold"] - exact) <= 1e-8
+        assert len(points) <= 12
 
     def test_scan_then_threshold_agree(self, capsys):
         _, scan_out = run_cli(capsys, "scan", "--family", "ghz-iso", "--n", "3",
@@ -132,7 +167,7 @@ class TestThreshold:
         threshold = json.loads(thr_out)["threshold"]
         assert lo <= threshold <= hi + 1e-8
 
-    @pytest.mark.parametrize("tol", ["0", "1e-300"])
+    @pytest.mark.parametrize("tol", ["0", "1e-300", "5e-324"])
     def test_tolerance_below_float_spacing_terminates(self, capsys, tol):
         code, out = run_cli(capsys, "threshold", "--family", "ghz-iso", "--crit", "gme",
                             "--probe", "000,111", "--lo", "0", "--hi", "1",
@@ -146,6 +181,97 @@ class TestThreshold:
         code = main(["threshold", "--family", "ghz-iso", "--n", "4", "--d", "4",
                      "--crit", "q0", "--f", "2", "--lo", "0.3", "--hi", "0.5"])
         assert code == 2
+
+
+# Margins with a detection flip at t = 0, as functions of t = +-(x - flip)
+SHAPES = {
+    "affine": lambda t: t,
+    "sqrt": lambda t: math.copysign(math.sqrt(abs(t)), t),
+    "cubic": lambda t: t ** 3,  # flat at the flip
+    "step": lambda t: 1.0 if t > 0 else -1.0,
+    "nan": lambda t: math.nan if -0.2 < t < -0.01 else t,
+    "inf": lambda t: math.copysign(math.inf, t) if 0.01 < abs(t) < 0.2 else t,
+}
+PAPER_FLIPS = [7 / 71, 85 / 213, 149 / 213, 3 / 35, 1 / 65]
+
+
+def _bisection(margin, lo, hi, tol):
+    """threshold's search before ITP: (lo, hi, evaluations) by halving."""
+    side = margin(lo) > 0
+    assert (margin(hi) > 0) != side
+    evaluations = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        evaluations += 1
+        if (margin(mid) > 0) == side:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evaluations
+
+
+def _flip_cases():
+    for name in SHAPES:
+        for flip in PAPER_FLIPS:
+            for sign in (1, -1):
+                for lo, hi in ((0.0, 0.9), (flip / 3, flip + 0.6 * (1 - flip))):
+                    for tol in (1e-8, 1e-12):
+                        yield name, flip, sign, lo, hi, tol
+
+
+class TestFlipPoint:
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_bracket_of_opposite_sides_within_tol(self, name):
+        # and no point is evaluated twice
+        for _, flip, sign, lo, hi, tol in filter(lambda c: c[0] == name, _flip_cases()):
+            points = []
+
+            def margin(x):
+                points.append(x)
+                return SHAPES[name](sign * (x - flip))
+
+            a, b, evaluations = cli._flip_point(margin, lo, hi, tol)
+            assert evaluations == len(points) == len(set(points))
+            assert lo <= a < b <= hi and b - a <= tol
+            assert (margin(a) > 0) != (margin(b) > 0)
+            # 2 ulp: the rounding of the midpoint and of x - flip
+            assert abs(0.5 * (a + b) - flip) <= tol / 2 + 2 * math.ulp(flip)
+            # ITP's budget is one step more than bisection's; float
+            # rounding may add one more
+            assert evaluations <= _bisection(margin, lo, hi, tol)[2] + 2
+
+    def test_affine_margin_needs_few_steps(self):
+        for name, flip, sign, lo, hi, tol in _flip_cases():
+            if name == "affine" and tol == 1e-8:
+                slope = sign * 37.0
+                _, _, evaluations = cli._flip_point(lambda x: slope * (x - flip), lo, hi, tol)
+                assert evaluations - 2 <= 9
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_zero_margin_is_not_detected(self, sign):
+        # the first step lands on 0.5 exactly, where the margin is 0
+        lo, hi, _ = cli._flip_point(lambda x: sign * (x - 0.5), 0.0, 1.0, 1e-8)
+        assert (lo if sign > 0 else hi) == 0.5
+        assert hi - lo <= 1e-8
+
+    @pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-300])
+    def test_tolerance_below_float_spacing_ends_at_adjacent_floats(self, tol):
+        lo, hi, evaluations = cli._flip_point(lambda x: x - 3 / 7, 0.0, 1.0, tol)
+        assert hi == math.nextafter(lo, 1.0) and lo <= 3 / 7 < hi
+        assert evaluations <= _bisection(lambda x: x - 3 / 7, 0.0, 1.0, tol)[2] + 2
+
+    def test_width_overflowing_falls_back_to_bisection(self):
+        def margin(x):
+            return x - 1.0
+
+        assert cli._flip_point(margin, -1e308, 1e308, 1e-8) == \
+            _bisection(margin, -1e308, 1e308, 1e-8)
+
+    def test_no_flip_in_bracket_is_domain_error(self):
+        with pytest.raises(DomainError, match="both not violated"):
+            cli._flip_point(lambda x: -1.0, 0.0, 1.0, 1e-8)
 
 
 class TestExitCodes:

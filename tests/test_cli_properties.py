@@ -101,7 +101,7 @@ threshold_cmd = joined(
     st.just(["threshold"]), crit_args, family_args,
     flag("--var", st.sampled_from(["alpha", "beta", "p", "foo"])),
     st.tuples(weight, weight).map(lambda t: [f"--lo={t[0]}", f"--hi={t[1]}"]),
-    flag("--threshold-tol", floats("0", "1e-300", "1e-3", "-1")),
+    flag("--threshold-tol", floats("0", "1e-300", "5e-324", "1e-3", "-1")),
     out_arg,
 )
 manybody_cmd = joined(
